@@ -173,15 +173,21 @@ def _update_tension(
     grad_steps: int,
 ) -> float:
     """Projected gradient ascent on the tension: fixed step budget, step
-    halved on non-improvement, lambda clamped at zero."""
+    halved on non-improvement, lambda clamped at zero.
+
+    A step whose objective or gradient is not finite is rejected like a
+    non-improving one: past the point where exp(-lambda * d) underflows for
+    a whole column the objective reads +inf, which is no improvement.
+    """
     if not shape_mass:
         return lam
     step = 1.0
     q_cur, g_cur = _tension_objective(lam, a_total, shape_mass, dmats)
     for _ in range(grad_steps):
         cand = max(0.0, lam + step * g_cur)
-        q_cand, g_cand = _tension_objective(cand, a_total, shape_mass, dmats)
-        if q_cand > q_cur:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q_cand, g_cand = _tension_objective(cand, a_total, shape_mass, dmats)
+        if math.isfinite(q_cand) and math.isfinite(g_cand) and q_cand > q_cur:
             lam, q_cur, g_cur = cand, q_cand, g_cand
         else:
             step *= 0.5

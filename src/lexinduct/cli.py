@@ -16,7 +16,7 @@ from pathlib import Path
 from .aligner import align_corpus, grow_diag_final_and, read_links, train_ibm2, write_links
 from .corpus import count_ngrams, load_corpus, sample_sentences
 from .decoder import FeatureWeights, TranslationSystem, translate_corpus
-from .embeddings import EmbeddingStore, load_embeddings, unit_normalize
+from .embeddings import load_embeddings, unit_normalize
 from .evaluation import precision_at_1, read_gold
 from .lexicon import (
     InducedDictionary,
@@ -25,7 +25,13 @@ from .lexicon import (
     write_extracted_counts,
 )
 from .lm import load_lm, save_lm, train_lm
-from .phrases import PhraseTable, build_phrase_inventory, build_phrase_store, induce_tables
+from .phrases import (
+    PhraseTable,
+    build_phrase_inventory,
+    build_phrase_store,
+    induce_tables,
+    word_store,
+)
 from .pipeline import PipelineConfig, PipelineStageError, read_config, run_pipeline
 from .retrieval import METHODS, RetrievalConfig, induce_dictionary
 from .tuner import TunerConfig, tune
@@ -90,15 +96,7 @@ def _cmd_phrase_table(args: argparse.Namespace) -> int:
         inventory = build_phrase_inventory(counts, vocab_size, ngram_cap)
         words = unit_normalize(load_embeddings(emb_path))
         phrases = build_phrase_store(inventory, words)
-        single = [i for i, key in enumerate(phrases.vocab) if " " not in key]
-        stores[side] = (
-            phrases,
-            EmbeddingStore(
-                tuple(phrases.vocab[i] for i in single),
-                phrases.vectors[single],
-                normalized=True,
-            ),
-        )
+        stores[side] = (phrases, word_store(phrases))
     induced = induce_tables(
         stores["src"][0], stores["tgt"][0], stores["src"][1], stores["tgt"][1],
         k=candidates, reverse_sample=reverse_sample, seed=seed,

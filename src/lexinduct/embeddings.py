@@ -3,15 +3,17 @@
 Vectors are held in float32 (the text format's precision); every similarity
 is accumulated in float64 so scores are reproducible and stable. Nearest
 neighbor lists are exact: brute-force blocked matrix products with a pinned
-tie-break (higher cosine first, then ascending token).
+tie-break (higher cosine first, then ascending token), selected a block of
+queries at a time and returned as arrays (`Neighbors`).
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -207,7 +209,11 @@ def cosine_matrix(src: EmbeddingStore, tgt: EmbeddingStore, rows: np.ndarray | N
 
 
 def _top_k_indices(scores: np.ndarray, lexrank: np.ndarray, k: int) -> np.ndarray:
-    """Exact top-k of one score row under (score desc, lexrank asc)."""
+    """Exact top-k of one score row under (score desc, lexrank asc).
+
+    The per-row reference for `_top_k_rows`, which falls back to it for rows
+    whose k-th score is tied outside the partition.
+    """
     n = scores.shape[0]
     if k >= n:
         return np.lexsort((lexrank, -scores))
@@ -221,13 +227,61 @@ def _top_k_indices(scores: np.ndarray, lexrank: np.ndarray, k: int) -> np.ndarra
     return chosen[np.lexsort((lexrank[chosen], -scores[chosen]))]
 
 
+# Rows per top-k selection: its (rows, len(tgt)) index array is as large as
+# the scores it ranks, so selecting a whole cosine block at once would double
+# the block's memory.
+_SELECT_ROWS = 64
+
+
+def _top_k_rows(scores: np.ndarray, lexrank: np.ndarray, k: int) -> np.ndarray:
+    """`_top_k_indices` for every row of a (rows, n) score block at once.
+
+    One argpartition picks k columns per row and a 2-D lexsort puts them in
+    (score desc, lexrank asc) order. The partition's choice among columns
+    that tie at the k-th score is arbitrary, so a row where the k-th score
+    also occurs outside the picked columns is redone by `_top_k_indices`.
+    """
+    n = scores.shape[1]
+    if k >= n:
+        return np.lexsort((np.broadcast_to(lexrank, scores.shape), -scores), axis=1)
+    picked = np.argpartition(scores, n - k, axis=1)[:, n - k :]
+    top = np.take_along_axis(scores, picked, axis=1)
+    chosen = np.take_along_axis(picked, np.lexsort((lexrank[picked], -top), axis=1), axis=1)
+    kth = top.min(axis=1, keepdims=True)
+    split_tie = (scores == kth).sum(axis=1) > (top == kth).sum(axis=1)
+    for row in np.nonzero(split_tie)[0]:
+        chosen[row] = _top_k_indices(scores[row], lexrank, k)
+    return chosen
+
+
+@dataclass(eq=False)
+class Neighbors(Sequence):
+    """k nearest targets per query, held as arrays.
+
+    Row i ranks `targets[idx[i, j]]` with cosine `scores[i, j]`, best first.
+    Indexing yields the row as ScoredCandidates.
+    """
+
+    queries: tuple[str, ...]
+    targets: tuple[str, ...]
+    idx: np.ndarray
+    scores: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.queries)
+
+    def __getitem__(self, i: int) -> ScoredCandidates:
+        tokens = (self.targets[j] for j in self.idx[i].tolist())
+        return ScoredCandidates(self.queries[i], tuple(zip(tokens, self.scores[i].tolist())))
+
+
 def k_nearest(
     src: EmbeddingStore,
     tgt: EmbeddingStore,
     queries: Sequence[str],
     k: int,
     block: int = 512,
-) -> list[ScoredCandidates]:
+) -> Neighbors:
     """Exact cosine k-nearest targets for each query token.
 
     Queries must exist in `src`. If k exceeds the target vocabulary the full
@@ -243,12 +297,14 @@ def k_nearest(
         raise KeyError(f"query token {missing[0]!r} not in source store")
     lexrank = tgt.lexrank()
     rows = src.indices(queries)
-    out: list[ScoredCandidates] = []
+    idx = np.empty((len(rows), k), dtype=np.int64)
+    scores = np.empty((len(rows), k), dtype=np.float64)
     for start in range(0, len(rows), block):
-        chunk = rows[start : start + block]
-        scores = cosine_matrix(src, tgt, chunk)
-        for local, qi in enumerate(chunk):
-            order = _top_k_indices(scores[local], lexrank, k)
-            cands = tuple((tgt.vocab[j], float(scores[local, j])) for j in order)
-            out.append(ScoredCandidates(src.vocab[int(qi)], cands))
-    return out
+        block_scores = cosine_matrix(src, tgt, rows[start : start + block])
+        for sub in range(0, len(block_scores), _SELECT_ROWS):
+            part = block_scores[sub : sub + _SELECT_ROWS]
+            top = _top_k_rows(part, lexrank, k)
+            at = start + sub
+            idx[at : at + len(top)] = top
+            scores[at : at + len(top)] = np.take_along_axis(part, top, axis=1)
+    return Neighbors(tuple(queries), tgt.vocab, idx, scores)

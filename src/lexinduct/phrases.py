@@ -9,6 +9,18 @@ in the opposite direction. Each table entry carries four probabilities:
 softmax scores in both directions plus lexical weights built from a
 word-level table the same way (each generated word explained by the
 generating-side word most likely to produce it).
+
+`induce_tables` computes all of this on arrays. Each direction's candidate
+sets are one `Neighbors` result, an (n, k) matrix of target indices and one
+of cosines, and every later step works on whole matrices: row-wise floored
+softmaxes give phi_fwd; phi_bwd and the word-level probabilities are looked
+up in sorted (row, target) key arrays by binary search; lexical weights are
+a max over generating words and a product over generated words of such
+lookups on the phrases' word ids. The result is an `InducedTable` per
+direction, written straight from its arrays. The dict-based functions
+(`candidate_sets`, `word_translation_table`, `lexical_weight`,
+`build_phrase_table`, `top1_sample`) compute the same tables entry by entry
+and are kept as test oracles; the columnar path must match them exactly.
 """
 
 from __future__ import annotations
@@ -16,14 +28,15 @@ from __future__ import annotations
 import logging
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .corpus import NGramCounts, build_vocabulary
-from .embeddings import EmbeddingStore, ScoredCandidates, k_nearest, unit_normalize
+from .embeddings import EmbeddingStore, Neighbors, ScoredCandidates, k_nearest, unit_normalize
 
 log = logging.getLogger(__name__)
 
@@ -143,95 +156,56 @@ def build_phrase_store(inventory: PhraseInventory, words: EmbeddingStore) -> Emb
     return EmbeddingStore(tuple(phrase_key(p) for p in kept), vectors, normalized=True)
 
 
+def word_store(phrases: EmbeddingStore) -> EmbeddingStore:
+    """The single-word slice of a phrase store (their vectors are exactly
+    the unit word vectors)."""
+    keep = [i for i, key in enumerate(phrases.vocab) if " " not in key]
+    if not keep:
+        raise ValueError("phrase store contains no single-word phrases")
+    rows = phrases.vectors[np.array(keep, dtype=np.int64)]
+    return EmbeddingStore(tuple(phrases.vocab[i] for i in keep), rows, normalized=True)
+
+
 def softmax_scores(cosines: np.ndarray, tau: float) -> np.ndarray:
-    """Stable softmax of cosines/tau (max subtracted before exponentiation)."""
+    """Stable softmax of cosines/tau along the last axis (max subtracted
+    before exponentiation), so a (n, k) array gives n row softmaxes."""
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
     scaled = np.asarray(cosines, dtype=np.float64) / tau
-    scaled = scaled - scaled.max()
+    scaled = scaled - scaled.max(axis=-1, keepdims=True)
     weights = np.exp(scaled)
-    return weights / weights.sum()
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def floored_probs(probs: np.ndarray, floor: float = PROB_FLOOR) -> np.ndarray:
-    """Clamp probabilities to at least `floor`, then renormalize.
+    """Clamp probabilities to at least `floor`, then renormalize along the
+    last axis.
 
     Keeps every stored probability strictly positive even when the fitted
     temperature is small enough for the softmax tail to underflow to 0.0,
     while preserving the sum-to-one invariant.
     """
     clamped = np.maximum(probs, floor)
-    return clamped / clamped.sum()
+    return clamped / clamped.sum(axis=-1, keepdims=True)
 
 
-def candidate_sets(
-    src: EmbeddingStore, tgt: EmbeddingStore, k: int = DEFAULT_CANDIDATES
-) -> dict[str, ScoredCandidates]:
-    """k nearest target phrases for every source phrase, keyed by source."""
-    ranked = k_nearest(src, tgt, list(src.vocab), k)
-    return {r.query: r for r in ranked}
+def _sample_rows(n: int, sample_size: int, seed: int) -> Sequence[int]:
+    """Ascending row numbers of the seeded top-1 sample out of n rows."""
+    if sample_size < n:
+        return sorted(random.Random(seed).sample(range(n), sample_size))
+    return range(n)
 
 
-def top1_sample(
-    cands: dict[str, ScoredCandidates], sample_size: int = DEFAULT_REVERSE_SAMPLE, seed: int = 13
-) -> list[tuple[str, str]]:
-    """Seeded sample of (query, nearest neighbor) pairs from candidate sets.
-
-    Used as the induced dictionary that the opposite direction's temperature
-    is fitted against.
-    """
-    keys = list(cands)
-    if sample_size < len(keys):
-        picked = sorted(random.Random(seed).sample(range(len(keys)), sample_size))
-        keys = [keys[i] for i in picked]
-    return [(q, cands[q].best()) for q in keys]
-
-
-def _pair_matrices(
-    cands: dict[str, ScoredCandidates], pairs: Sequence[tuple[str, str]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cosine rows (padded with -inf) and gold scores for usable MLE pairs."""
-    rows: list[np.ndarray] = []
-    gold: list[float] = []
-    skipped = 0
-    width = 0
-    for generated, generator in pairs:
-        cand = cands.get(generator)
-        if cand is None:
-            skipped += 1
-            continue
-        scores = {t: s for t, s in cand.candidates}
-        if generated not in scores:
-            skipped += 1
-            continue
-        row = np.array([s for _, s in cand.candidates], dtype=np.float64)
-        rows.append(row)
-        gold.append(scores[generated])
-        width = max(width, row.shape[0])
+def _fit_temperature(
+    cos: np.ndarray, gold: np.ndarray, skipped: int, lo: float, hi: float, iterations: int
+) -> TemperatureParam:
+    """Maximum-likelihood temperature via golden-section search on log tau,
+    given each usable pair's candidate cosines (one row each) and the
+    cosine of its generated phrase."""
     if skipped:
         log.warning("temperature fit: skipped %d pairs outside candidate sets", skipped)
-    if not rows:
+    if not gold.size:
         raise ValueError("no dictionary pair falls inside the candidate sets")
-    padded = np.full((len(rows), width), -np.inf)
-    for i, row in enumerate(rows):
-        padded[i, : row.shape[0]] = row
-    return padded, np.array(gold, dtype=np.float64)
-
-
-def estimate_temperature(
-    cands: dict[str, ScoredCandidates],
-    reverse_pairs: Sequence[tuple[str, str]],
-    lo: float = TAU_LO,
-    hi: float = TAU_HI,
-    iterations: int = TAU_ITERATIONS,
-) -> TemperatureParam:
-    """Maximum-likelihood temperature via golden-section search on log tau.
-
-    reverse_pairs are (generated phrase, generating phrase) pairs induced in
-    the opposite direction; pairs whose generated phrase is missing from the
-    generating phrase's candidate set are skipped with a warning.
-    """
-    cos, gold = _pair_matrices(cands, reverse_pairs)
 
     def nll(log_tau: float) -> float:
         tau = math.exp(log_tau)
@@ -256,11 +230,92 @@ def estimate_temperature(
     return TemperatureParam(math.exp((a + b) / 2.0))
 
 
+def _fit_to_opposite(
+    near: Neighbors, opposite: Neighbors, sample_size: int, seed: int
+) -> TemperatureParam:
+    """`estimate_temperature(near, top1_sample(opposite))` on arrays.
+
+    Each result's rows must be its query store in order, so that a row
+    number of one is a target index of the other.
+    """
+    generated = np.asarray(_sample_rows(len(opposite), sample_size, seed), dtype=np.int64)
+    generator = opposite.idx[generated, 0]
+    hit = near.idx[generator] == generated[:, None]
+    usable = hit.any(axis=1)
+    cos = near.scores[generator]
+    return _fit_temperature(
+        cos[usable], cos[hit], int(generated.size - usable.sum()), TAU_LO, TAU_HI, TAU_ITERATIONS
+    )
+
+
+def candidate_sets(
+    src: EmbeddingStore, tgt: EmbeddingStore, k: int = DEFAULT_CANDIDATES
+) -> dict[str, ScoredCandidates]:
+    """Test oracle: k nearest target phrases for every source phrase, keyed
+    by source."""
+    return {r.query: r for r in k_nearest(src, tgt, src.vocab, k)}
+
+
+def top1_sample(
+    cands: dict[str, ScoredCandidates], sample_size: int = DEFAULT_REVERSE_SAMPLE, seed: int = 13
+) -> list[tuple[str, str]]:
+    """Test oracle: seeded sample of (query, nearest neighbor) pairs from
+    candidate sets, the induced dictionary that the opposite direction's
+    temperature is fitted against."""
+    keys = list(cands)
+    return [(keys[i], cands[keys[i]].best()) for i in _sample_rows(len(keys), sample_size, seed)]
+
+
+def _pair_matrices(
+    cands: dict[str, ScoredCandidates], pairs: Sequence[tuple[str, str]]
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Cosine rows (padded with -inf), gold scores and the skipped count for
+    MLE pairs."""
+    rows: list[np.ndarray] = []
+    gold: list[float] = []
+    skipped = 0
+    width = 0
+    for generated, generator in pairs:
+        cand = cands.get(generator)
+        if cand is None:
+            skipped += 1
+            continue
+        scores = {t: s for t, s in cand.candidates}
+        if generated not in scores:
+            skipped += 1
+            continue
+        row = np.array([s for _, s in cand.candidates], dtype=np.float64)
+        rows.append(row)
+        gold.append(scores[generated])
+        width = max(width, row.shape[0])
+    padded = np.full((len(rows), width), -np.inf)
+    for i, row in enumerate(rows):
+        padded[i, : row.shape[0]] = row
+    return padded, np.array(gold, dtype=np.float64), skipped
+
+
+def estimate_temperature(
+    cands: dict[str, ScoredCandidates],
+    reverse_pairs: Sequence[tuple[str, str]],
+    lo: float = TAU_LO,
+    hi: float = TAU_HI,
+    iterations: int = TAU_ITERATIONS,
+) -> TemperatureParam:
+    """Maximum-likelihood temperature via golden-section search on log tau.
+
+    reverse_pairs are (generated phrase, generating phrase) pairs induced in
+    the opposite direction; pairs whose generated phrase is missing from the
+    generating phrase's candidate set are skipped with a warning. This is
+    the dict form of the fit that `induce_tables` runs on arrays.
+    """
+    return _fit_temperature(*_pair_matrices(cands, reverse_pairs), lo, hi, iterations)
+
+
 def word_translation_table(
     cands: dict[str, ScoredCandidates], tau: TemperatureParam, floor: float = PROB_FLOOR
 ) -> dict[str, dict[str, float]]:
-    """Word-level softmax translation probabilities over each word's
-    candidate set: w(generated | generating)."""
+    """Test oracle: word-level softmax translation probabilities over each
+    word's candidate set, w(generated | generating)."""
     table: dict[str, dict[str, float]] = {}
     for word, cand in cands.items():
         probs = floored_probs(
@@ -276,8 +331,9 @@ def lexical_weight(
     table: dict[str, dict[str, float]],
     floor: float = PROB_FLOOR,
 ) -> float:
-    """Product over generated words of the best word-level probability from
-    any generating word; words no generating word covers contribute `floor`."""
+    """Test oracle: product over generated words of the best word-level
+    probability from any generating word; words no generating word covers
+    contribute `floor`."""
     weight = 1.0
     for out_word in generated:
         best = 0.0
@@ -285,6 +341,11 @@ def lexical_weight(
             best = max(best, table.get(in_word, {}).get(out_word, 0.0))
         weight *= best if best > 0.0 else floor
     return weight
+
+
+_PROB_FIELDS = ("phi_fwd", "phi_bwd", "lex_fwd", "lex_bwd")
+# One table line, shared by both table writers so that their bytes agree.
+_TABLE_LINE = "%s ||| %s ||| %.6g %.6g %.6g %.6g\n"
 
 
 @dataclass(frozen=True)
@@ -297,7 +358,7 @@ class PhraseTableEntry:
     lex_bwd: float
 
     def __post_init__(self) -> None:
-        for name in ("phi_fwd", "phi_bwd", "lex_fwd", "lex_bwd"):
+        for name in _PROB_FIELDS:
             value = getattr(self, name)
             if not (0.0 < value <= 1.0):
                 raise ValueError(f"{name}={value} outside (0, 1] for {self.src!r}")
@@ -330,8 +391,7 @@ class PhraseTable:
             for src in sorted(self.entries):
                 for e in self.entries[src]:
                     fh.write(
-                        f"{e.src} ||| {e.tgt} ||| "
-                        f"{e.phi_fwd:.6g} {e.phi_bwd:.6g} {e.lex_fwd:.6g} {e.lex_bwd:.6g}\n"
+                        _TABLE_LINE % (e.src, e.tgt, e.phi_fwd, e.phi_bwd, e.lex_fwd, e.lex_bwd)
                     )
 
     @classmethod
@@ -357,18 +417,6 @@ class PhraseTable:
         return cls({s: tuple(v) for s, v in entries.items()})
 
 
-def _softmax_map(
-    cands: dict[str, ScoredCandidates], tau: TemperatureParam, floor: float
-) -> dict[str, dict[str, float]]:
-    out: dict[str, dict[str, float]] = {}
-    for query, cand in cands.items():
-        probs = floored_probs(
-            softmax_scores(np.array([s for _, s in cand.candidates]), tau.tau), floor
-        )
-        out[query] = {t: float(p) for (t, _), p in zip(cand.candidates, probs)}
-    return out
-
-
 def build_phrase_table(
     cands: dict[str, ScoredCandidates],
     opposite_cands: dict[str, ScoredCandidates],
@@ -378,11 +426,12 @@ def build_phrase_table(
     opposite_word_table: dict[str, dict[str, float]],
     floor: float = PROB_FLOOR,
 ) -> PhraseTable:
-    """Assemble one direction's phrase table from both directions' candidate
-    sets. Backward probabilities are looked up in the opposite direction's
-    softmax map and floored when the reversed pair is absent."""
-    forward = _softmax_map(cands, tau, floor)
-    backward = _softmax_map(opposite_cands, opposite_tau, floor)
+    """Test oracle: one direction's phrase table from both directions'
+    candidate sets, entry by entry. Backward probabilities are looked up in
+    the opposite direction's softmax map and floored when the reversed pair
+    is absent."""
+    forward = word_translation_table(cands, tau, floor)
+    backward = word_translation_table(opposite_cands, opposite_tau, floor)
     entries: dict[str, tuple[PhraseTableEntry, ...]] = {}
     for src, cand in cands.items():
         src_words = tuple(src.split(" "))
@@ -405,12 +454,175 @@ def build_phrase_table(
     return PhraseTable(entries)
 
 
+def _row_probs(near: Neighbors, tau: TemperatureParam, floor: float) -> np.ndarray:
+    """Floored softmax over each query's candidates: `word_translation_table`
+    on arrays."""
+    return floored_probs(softmax_scores(near.scores, tau.tau), floor)
+
+
+class _PairTable:
+    """Values keyed by (query row, target index) of a Neighbors result, as
+    sorted int64 keys for vectorized binary-search lookup."""
+
+    def __init__(self, near: Neighbors, values: np.ndarray):
+        self.width = len(near.targets)
+        keys = (np.arange(len(near), dtype=np.int64)[:, None] * self.width + near.idx).ravel()
+        order = np.argsort(keys)
+        self.keys = keys[order]
+        self.values = values.ravel()[order]
+
+    def get(self, row: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """Values at the broadcast (row, target) index pairs; absent pairs
+        and negative indices read 0.0."""
+        key = row * self.width + target
+        pos = np.minimum(np.searchsorted(self.keys, key), self.keys.size - 1)
+        found = (self.keys[pos] == key) & (row >= 0) & (target >= 0)
+        return np.where(found, self.values[pos], 0.0)
+
+
+# Word ids of a phrase that the word store lacks, and past the phrase's end.
+_ABSENT = -1
+_PAD = -2
+# Source phrases per block when computing lexical weights and writing. It
+# bounds the temporaries at any table size. Larger blocks leave more freed
+# but resident heap behind the stage: at 1,024 rows the peak RSS of the tune
+# stage that follows rose by up to 8 MiB on the cipher benchmark.
+_ROW_BLOCK = 64
+
+
+def _phrase_word_ids(phrases: Sequence[str], words: EmbeddingStore) -> np.ndarray:
+    """(n, longest phrase) indices into `words` of each phrase's words,
+    _ABSENT for a word the store lacks and _PAD past the phrase's end."""
+    index = dict(zip(words.vocab, range(len(words))))
+    split = [p.split(" ") for p in phrases]
+    width = max(map(len, split))
+    return np.array(
+        [[index.get(w, _ABSENT) for w in ws] + [_PAD] * (width - len(ws)) for ws in split],
+        dtype=np.int64,
+    )
+
+
+def _lexical_weights(
+    generating: np.ndarray, generated: np.ndarray, table: _PairTable, floor: float
+) -> np.ndarray:
+    """`lexical_weight` for broadcast arrays of phrase word ids (..., L),
+    with `table` keyed by (generating word, generated word). The product
+    runs over generated words left to right, as the oracle's does."""
+    best = table.get(generating[..., :, None], generated[..., None, :]).max(axis=-2)
+    best = np.where(best > 0.0, best, floor)
+    best = np.where(generated == _PAD, 1.0, best)
+    weight = best[..., 0]
+    for col in range(1, best.shape[-1]):
+        weight = weight * best[..., col]
+    return weight
+
+
+class _TableRow(Sequence):
+    """One source phrase's entries of an InducedTable, built on access."""
+
+    def __init__(self, src: str, targets: tuple[str, ...], idx: np.ndarray, probs: np.ndarray):
+        self.src = src
+        self.targets = targets
+        self.idx = idx
+        self.probs = probs
+
+    def __len__(self) -> int:
+        return len(self.idx)
+
+    def __getitem__(self, j: int) -> PhraseTableEntry:
+        return PhraseTableEntry(self.src, self.targets[self.idx[j]], *self.probs[j].tolist())
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
+
+
+@dataclass(eq=False)
+class InducedTable:
+    """One direction's induced phrase table, held as arrays.
+
+    Row i holds source phrase src[i]'s candidates tgt[idx[i, j]] in
+    PhraseTable order (descending phi_fwd, then target), and probs[i, j]
+    their (phi_fwd, phi_bwd, lex_fwd, lex_bwd). Every probability must lie
+    in (0, 1]. `entries` and `options` give the PhraseTable view.
+    """
+
+    src: tuple[str, ...]
+    tgt: tuple[str, ...]
+    idx: np.ndarray
+    probs: np.ndarray
+
+    def __post_init__(self) -> None:
+        bad = ~((self.probs > 0.0) & (self.probs <= 1.0))
+        if bad.any():
+            i, j, f = (int(x) for x in np.argwhere(bad)[0])
+            value = float(self.probs[i, j, f])
+            raise ValueError(f"{_PROB_FIELDS[f]}={value} outside (0, 1] for {self.src[i]!r}")
+
+    def __len__(self) -> int:
+        return self.idx.size
+
+    @cached_property
+    def entries(self) -> dict[str, _TableRow]:
+        return {
+            src: _TableRow(src, self.tgt, self.idx[i], self.probs[i])
+            for i, src in enumerate(self.src)
+        }
+
+    def options(self, phrase: Sequence[str]) -> Sequence[PhraseTableEntry]:
+        return self.entries.get(" ".join(phrase), ())
+
+    def write(self, path: str | Path) -> None:
+        """The PhraseTable.write format, straight from the arrays, a block
+        of source phrases at a time."""
+        order = sorted(range(len(self.src)), key=self.src.__getitem__)
+        k = self.idx.shape[1]
+        with open(path, "w", encoding="utf-8") as fh:
+            for start in range(0, len(order), _ROW_BLOCK):
+                rows = order[start : start + _ROW_BLOCK]
+                srcs = [self.src[i] for i in rows for _ in range(k)]
+                tgts = [self.tgt[j] for j in self.idx[rows].ravel().tolist()]
+                probs = self.probs[rows].reshape(-1, 4).T.tolist()
+                fh.writelines([_TABLE_LINE % line for line in zip(srcs, tgts, *probs)])
+
+
+def _induced_table(
+    near: Neighbors,
+    phi: np.ndarray,
+    opposite_phi: _PairTable,
+    src_ids: np.ndarray,
+    tgt_ids: np.ndarray,
+    words: _PairTable,
+    opposite_words: _PairTable,
+    tgt_lexrank: np.ndarray,
+    floor: float,
+) -> InducedTable:
+    """One direction's table from its candidates and forward
+    probabilities `phi`, the opposite direction's phrase and word
+    probabilities, and both sides' phrase word ids. Rows are put in table
+    order first; the other probabilities are then filled in by row blocks,
+    so the (rows, k, L, L) lookups stay small."""
+    order = np.lexsort((tgt_lexrank[near.idx], -phi), axis=1)
+    idx = np.take_along_axis(near.idx, order, axis=1)
+    probs = np.empty(idx.shape + (4,), dtype=np.float64)
+    probs[..., 0] = np.take_along_axis(phi, order, axis=1)
+    rows = np.arange(len(idx), dtype=np.int64)[:, None]
+    for start in range(0, len(idx), _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        phi_bwd = opposite_phi.get(idx[block], rows[block])
+        probs[block, :, 1] = np.where(phi_bwd > 0.0, phi_bwd, floor)
+        gen = src_ids[block, None, :]
+        out = tgt_ids[idx[block]]
+        probs[block, :, 2] = _lexical_weights(gen, out, words, floor)
+        probs[block, :, 3] = _lexical_weights(out, gen, opposite_words, floor)
+    return InducedTable(near.queries, near.targets, idx, probs)
+
+
 @dataclass
 class TableInduction:
     """Both directions' tables and fitted temperatures."""
 
-    table_fwd: PhraseTable
-    table_rev: PhraseTable
+    table_fwd: InducedTable
+    table_rev: InducedTable
     tau_fwd: TemperatureParam
     tau_rev: TemperatureParam
 
@@ -427,13 +639,25 @@ def induce_tables(
 ) -> TableInduction:
     """Run the full two-direction induction: candidate sets, temperature
     fits, word-level tables, and both phrase tables."""
-    fwd_cands = candidate_sets(src_phrases, tgt_phrases, k)
-    rev_cands = candidate_sets(tgt_phrases, src_phrases, k)
-    tau_fwd = estimate_temperature(fwd_cands, top1_sample(rev_cands, reverse_sample, seed))
-    tau_rev = estimate_temperature(rev_cands, top1_sample(fwd_cands, reverse_sample, seed))
+    fwd = k_nearest(src_phrases, tgt_phrases, src_phrases.vocab, k)
+    rev = k_nearest(tgt_phrases, src_phrases, tgt_phrases.vocab, k)
+    tau_fwd = _fit_to_opposite(fwd, rev, reverse_sample, seed)
+    tau_rev = _fit_to_opposite(rev, fwd, reverse_sample, seed)
     word_k = min(k, len(tgt_words), len(src_words))
-    wt_fwd = word_translation_table(candidate_sets(src_words, tgt_words, word_k), tau_fwd, floor)
-    wt_rev = word_translation_table(candidate_sets(tgt_words, src_words, word_k), tau_rev, floor)
-    table_fwd = build_phrase_table(fwd_cands, rev_cands, tau_fwd, tau_rev, wt_fwd, wt_rev, floor)
-    table_rev = build_phrase_table(rev_cands, fwd_cands, tau_rev, tau_fwd, wt_rev, wt_fwd, floor)
+    words_fwd = k_nearest(src_words, tgt_words, src_words.vocab, word_k)
+    words_rev = k_nearest(tgt_words, src_words, tgt_words.vocab, word_k)
+    wt_fwd = _PairTable(words_fwd, _row_probs(words_fwd, tau_fwd, floor))
+    wt_rev = _PairTable(words_rev, _row_probs(words_rev, tau_rev, floor))
+    phi_fwd = _row_probs(fwd, tau_fwd, floor)
+    phi_rev = _row_probs(rev, tau_rev, floor)
+    src_ids = _phrase_word_ids(src_phrases.vocab, src_words)
+    tgt_ids = _phrase_word_ids(tgt_phrases.vocab, tgt_words)
+    table_fwd = _induced_table(
+        fwd, phi_fwd, _PairTable(rev, phi_rev), src_ids, tgt_ids, wt_fwd, wt_rev,
+        tgt_phrases.lexrank(), floor,
+    )
+    table_rev = _induced_table(
+        rev, phi_rev, _PairTable(fwd, phi_fwd), tgt_ids, src_ids, wt_rev, wt_fwd,
+        src_phrases.lexrank(), floor,
+    )
     return TableInduction(table_fwd, table_rev, tau_fwd, tau_rev)

@@ -10,7 +10,8 @@ requested direction):
                                                      -> evaluate
 
 Every stage's inputs are content-addressed: the stage digest is a sha256
-over the stage name, its parameters, and the digests of its input files.
+over the stage name, its code version (`STAGE_VERSIONS`), its parameters,
+and the digests of its input files.
 A stage whose manifest matches the current digest (and whose outputs are
 still intact) is skipped, so a re-run with unchanged inputs recomputes
 nothing and a change anywhere upstream invalidates exactly the stages that
@@ -31,12 +32,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .aligner import align_corpus, grow_diag_final_and, read_links, train_ibm2, write_links
 from .corpus import Corpus, count_ngrams, load_corpus, sample_sentences, write_corpus
 from .decoder import FeatureWeights, TranslationSystem, translate_corpus
-from .embeddings import EmbeddingStore, load_cache, load_embeddings, save_cache, unit_normalize
+from .embeddings import load_cache, load_embeddings, save_cache, unit_normalize
 from .evaluation import read_gold, precision_at_1
 from .lexicon import (
     InducedDictionary,
@@ -46,12 +45,37 @@ from .lexicon import (
     write_extracted_counts,
 )
 from .lm import load_lm, save_lm, train_lm
-from .phrases import PhraseInventory, PhraseTable, build_phrase_inventory, build_phrase_store, induce_tables
+from .phrases import (
+    PhraseInventory,
+    PhraseTable,
+    build_phrase_inventory,
+    build_phrase_store,
+    induce_tables,
+    word_store,
+)
 from .tuner import TunerConfig, tune
 
 log = logging.getLogger(__name__)
 
 MANIFEST_VERSION = 1
+# Code version per stage kind, part of every stage digest. A change that
+# alters the bytes a stage writes for the same inputs and parameters must
+# bump that stage's version, so work dirs built by older code re-run it.
+# Downstream stages re-run only if the re-run changes their input bytes.
+STAGE_VERSIONS = {
+    "corpus": 1,
+    "inventory": 1,
+    "phrases": 1,
+    "lm": 1,
+    "tables": 1,
+    "tune": 1,
+    "translate": 1,
+    "align": 1,
+    "symmetrize": 1,
+    "extract": 1,
+    "dictionary": 1,
+    "evaluate": 1,
+}
 WORK_DIR_ENV = "LEXINDUCT_WORK_DIR"
 LOCK_NAME = ".lock"
 
@@ -291,7 +315,13 @@ class _Runner:
             digests[str(p)] = d
             ordered.append(d)
         payload = json.dumps(
-            {"stage": name, "format": MANIFEST_VERSION, "params": params, "inputs": ordered},
+            {
+                "stage": name,
+                "format": MANIFEST_VERSION,
+                "version": STAGE_VERSIONS[name.partition(":")[0]],
+                "params": params,
+                "inputs": ordered,
+            },
             sort_keys=True,
         )
         digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -408,16 +438,6 @@ def _read_inventory(path: Path) -> PhraseInventory:
     return PhraseInventory(phrases)
 
 
-def _word_store(phrases: EmbeddingStore) -> EmbeddingStore:
-    """The single-word slice of a phrase store (their vectors are exactly
-    the unit word vectors)."""
-    keep = [i for i, key in enumerate(phrases.vocab) if " " not in key]
-    if not keep:
-        raise ValueError("phrase store contains no single-word phrases")
-    rows = phrases.vectors[np.array(keep, dtype=np.int64)]
-    return EmbeddingStore(tuple(phrases.vocab[i] for i in keep), rows, normalized=True)
-
-
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Execute every stage the configured direction needs, reusing cached
     stage outputs, and return the induced dictionaries plus evaluation."""
@@ -501,11 +521,13 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         tau_path = work_dir / "temperatures.txt"
 
         def tables_stage():
+            src_phrases = load_cache(phrase_npz["src"])
+            tgt_phrases = load_cache(phrase_npz["tgt"])
             induced = induce_tables(
-                load_cache(phrase_npz["src"]),
-                load_cache(phrase_npz["tgt"]),
-                _word_store(load_cache(phrase_npz["src"])),
-                _word_store(load_cache(phrase_npz["tgt"])),
+                src_phrases,
+                tgt_phrases,
+                word_store(src_phrases),
+                word_store(tgt_phrases),
                 k=config.candidates,
                 reverse_sample=config.reverse_sample,
                 seed=config.phrase_seed,

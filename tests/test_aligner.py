@@ -1,5 +1,6 @@
 """IBM-2 EM training, Viterbi links, symmetrization, and link file IO."""
 
+import math
 import random
 
 import numpy as np
@@ -200,6 +201,22 @@ class TestTensionUpdate:
             q1, _ = _tension_objective(lam1, a_total, shape_mass, dmats)
             assert q1 >= q0 - 1e-12
             assert lam1 >= 0.0
+
+    def test_step_into_underflow_is_rejected(self):
+        # A unit step from lambda 4 lands where exp(-lambda * d) underflows in
+        # every column with no zero distance: the objective reads +inf there
+        # and the gradient NaN, neither of which may be accepted.
+        d = _distance_matrix(2, 3)
+        dmats = {(2, 3): d}
+        shape_mass = {(2, 3): np.full(3, 1e5)}
+        w = np.exp(-20.0 * d)
+        a_total = float((shape_mass[(2, 3)] * (w * d).sum(axis=0) / w.sum(axis=0)).sum())
+        q0, g0 = _tension_objective(4.0, a_total, shape_mass, dmats)
+        assert (4.0 + g0) * d[:, 0].min() > 746.0
+        lam = _update_tension(4.0, a_total, shape_mass, dmats, grad_steps=8)
+        q1, g1 = _tension_objective(lam, a_total, shape_mass, dmats)
+        assert math.isfinite(lam) and math.isfinite(q1) and math.isfinite(g1)
+        assert q1 >= q0
 
     def test_no_mass_keeps_lambda(self):
         assert _update_tension(4.0, 0.0, {}, {}, 8) == 4.0

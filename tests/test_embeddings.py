@@ -15,7 +15,7 @@ from lexinduct import (
     unit_normalize,
     write_embeddings,
 )
-from lexinduct.embeddings import _top_k_indices
+from lexinduct.embeddings import _top_k_indices, _top_k_rows
 
 
 def random_store(rng, n, dim, prefix="w"):
@@ -227,3 +227,43 @@ class TestTopKIndices:
             got = list(_top_k_indices(scores, lexrank, k))
             want = oracle_top_k(scores, vocab, k)
             assert got == want
+
+
+def quantized_store(rng, n, dim, prefix):
+    """Unit vectors of small integer directions, so exact cosine ties abound."""
+    vectors = rng.integers(-1, 2, size=(n, dim)).astype(np.float32)
+    vectors[~vectors.any(axis=1), 0] = 1.0
+    return unit_normalize(EmbeddingStore(tuple(f"{prefix}{i:03d}" for i in range(n)), vectors))
+
+
+class TestTopKRows:
+    def test_matches_per_row_oracle_with_ties_at_the_kth_score(self):
+        rng = np.random.default_rng(11)
+        split_ties = 0
+        for _ in range(40):
+            rows, n = int(rng.integers(1, 12)), int(rng.integers(2, 40))
+            scores = np.round(rng.normal(size=(rows, n)), 1)
+            lexrank = rng.permutation(n).astype(np.int64)
+            for k in (1, int(rng.integers(1, n + 1)), n):
+                got = _top_k_rows(scores, lexrank, k)
+                for r in range(rows):
+                    assert list(got[r]) == list(_top_k_indices(scores[r], lexrank, k))
+                    kth = np.sort(scores[r])[::-1][k - 1]
+                    split_ties += int((scores[r] >= kth).sum() > k)
+        assert split_ties > 50
+
+    def test_k_nearest_on_tied_cosines_matches_oracle_for_any_block(self):
+        rng = np.random.default_rng(12)
+        for _ in range(8):
+            src = quantized_store(rng, int(rng.integers(5, 30)), 3, "s")
+            tgt = quantized_store(rng, int(rng.integers(3, 25)), 3, "t")
+            scores = cosine_matrix(src, tgt)
+            for k in (1, 2, len(tgt) - 1, len(tgt), len(tgt) + 2):
+                want = [_top_k_indices(row, tgt.lexrank(), min(k, len(tgt))) for row in scores]
+                for block in (1, 3, 512):
+                    got = k_nearest(src, tgt, list(src.vocab), k, block=block)
+                    assert len(got) == len(src)
+                    np.testing.assert_array_equal(got.idx, want)
+                    np.testing.assert_array_equal(
+                        got.scores, np.take_along_axis(scores, got.idx, axis=1)
+                    )

@@ -28,7 +28,7 @@ from lexinduct import (
     unit_normalize,
     word_translation_table,
 )
-from lexinduct.phrases import PROB_FLOOR, word_translation_table as _wtt
+from lexinduct.phrases import PROB_FLOOR, word_store, word_translation_table as _wtt
 
 
 def unit_store(n, dim, seed, prefix="w"):
@@ -335,3 +335,68 @@ class TestInduceTables:
         b = induce_tables(src, tgt, src, tgt, k=4, reverse_sample=6, seed=3)
         assert a.tau_fwd.tau == b.tau_fwd.tau
         assert a.table_fwd.entries == b.table_fwd.entries
+
+
+def oracle_tables(src, tgt, src_words, tgt_words, k, reverse_sample, seed, floor=PROB_FLOOR):
+    """Both directions' tables and temperatures, entry by entry from dicts."""
+    fwd = candidate_sets(src, tgt, k)
+    rev = candidate_sets(tgt, src, k)
+    tau_fwd = estimate_temperature(fwd, top1_sample(rev, reverse_sample, seed))
+    tau_rev = estimate_temperature(rev, top1_sample(fwd, reverse_sample, seed))
+    word_k = min(k, len(tgt_words), len(src_words))
+    wt_fwd = word_translation_table(candidate_sets(src_words, tgt_words, word_k), tau_fwd, floor)
+    wt_rev = word_translation_table(candidate_sets(tgt_words, src_words, word_k), tau_rev, floor)
+    table_fwd = build_phrase_table(fwd, rev, tau_fwd, tau_rev, wt_fwd, wt_rev, floor)
+    table_rev = build_phrase_table(rev, fwd, tau_rev, tau_fwd, wt_rev, wt_fwd, floor)
+    return table_fwd, table_rev, tau_fwd, tau_rev
+
+
+def random_phrase_store(rng, n_words, dim, prefix):
+    """Phrase store over random word vectors: every word but the last as a
+    phrase of its own, plus 2- and 3-word phrases, some using the last word,
+    which the single-word slice then lacks."""
+    words = unit_store(n_words, dim, int(rng.integers(1 << 30)), prefix)
+    phrases = {(w,): 1 for w in words.vocab[:-1]}
+    for length, count in ((2, 2 * n_words), (3, n_words)):
+        for _ in range(count):
+            phrases[tuple(rng.choice(words.vocab, size=length))] = 1
+    return build_phrase_store(PhraseInventory(phrases), words)
+
+
+class TestColumnarInduction:
+    def test_matches_the_dict_oracle_exactly(self, tmp_path):
+        rng = np.random.default_rng(50)
+        for k, reverse_sample in ((3, 10), (6, 1000)):
+            src = random_phrase_store(rng, 9, 4, "s")
+            tgt = random_phrase_store(rng, 8, 4, "t")
+            src_words, tgt_words = word_store(src), word_store(tgt)
+            got = induce_tables(src, tgt, src_words, tgt_words, k, reverse_sample, seed=5)
+            want_fwd, want_rev, tau_fwd, tau_rev = oracle_tables(
+                src, tgt, src_words, tgt_words, k, reverse_sample, seed=5
+            )
+            assert (got.tau_fwd, got.tau_rev) == (tau_fwd, tau_rev)
+            for table, want in ((got.table_fwd, want_fwd), (got.table_rev, want_rev)):
+                assert len(table) == len(want)
+                assert table.entries.keys() == want.entries.keys()
+                for source, rows in want.entries.items():
+                    assert tuple(table.entries[source]) == rows
+                table.write(tmp_path / "got.txt")
+                want.write(tmp_path / "want.txt")
+                assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+            entries = [e for rows in got.table_fwd.entries.values() for e in rows]
+            # An absent backward pair reads the floor; an uncovered or
+            # unknown generated word puts a floor factor in the product.
+            assert any(e.phi_bwd == PROB_FLOOR for e in entries)
+            assert any(e.lex_fwd <= PROB_FLOOR for e in entries)
+            assert any(e.lex_bwd <= PROB_FLOOR for e in entries)
+
+    def test_out_of_range_probability_names_the_source(self):
+        rng = np.random.default_rng(51)
+        src = random_phrase_store(rng, 9, 4, "s")
+        tgt = random_phrase_store(rng, 8, 4, "t")
+        args = (src, tgt, word_store(src), word_store(tgt), 3, 10, 5)
+        with pytest.raises(ValueError) as oracle:
+            oracle_tables(*args, floor=0.0)
+        with pytest.raises(ValueError, match=r"outside \(0, 1\] for '") as columnar:
+            induce_tables(*args, floor=0.0)
+        assert str(columnar.value).split(" for ")[1] == str(oracle.value).split(" for ")[1]

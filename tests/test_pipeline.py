@@ -12,7 +12,7 @@ from lexinduct import (
     run_pipeline,
     write_config,
 )
-from lexinduct.pipeline import LOCK_NAME, WORK_DIR_ENV
+from lexinduct.pipeline import LOCK_NAME, STAGE_VERSIONS, WORK_DIR_ENV
 
 
 
@@ -145,6 +145,17 @@ class TestRunAndCache:
         cached = set(result.cached())
         assert {"corpus:src", "corpus:tgt", "inventory:src", "inventory:tgt",
                 "phrases:src", "phrases:tgt", "tables"} <= cached
+
+    def test_stage_version_bump_reruns_that_stage_only(self, tmp_path, monkeypatch):
+        fx = micro(tmp_path / "data")
+        config = micro_config(fx, tmp_path / "work")
+        run_pipeline(config)
+        monkeypatch.setitem(STAGE_VERSIONS, "tables", STAGE_VERSIONS["tables"] + 1)
+        result = run_pipeline(config)
+        # Same table bytes, so every stage downstream of tables stays cached.
+        assert result.ran() == ["tables"]
+        assert len(result.cached()) == 15
+        assert run_pipeline(config).ran() == []
 
     def test_damaged_output_is_rebuilt(self, tmp_path):
         fx = micro(tmp_path / "data")
