@@ -254,13 +254,13 @@ class TestTopKRows:
 
     def test_k_nearest_on_tied_cosines_matches_oracle_for_any_block(self):
         rng = np.random.default_rng(12)
-        for _ in range(8):
-            src = quantized_store(rng, int(rng.integers(5, 30)), 3, "s")
+        for n_src in (5, 17, 29, 150, 200):
+            src = quantized_store(rng, n_src, 3, "s")
             tgt = quantized_store(rng, int(rng.integers(3, 25)), 3, "t")
             scores = cosine_matrix(src, tgt)
             for k in (1, 2, len(tgt) - 1, len(tgt), len(tgt) + 2):
                 want = [_top_k_indices(row, tgt.lexrank(), min(k, len(tgt))) for row in scores]
-                for block in (1, 3, 512):
+                for block in (1, 3, 100, 512):
                     got = k_nearest(src, tgt, list(src.vocab), k, block=block)
                     assert len(got) == len(src)
                     np.testing.assert_array_equal(got.idx, want)

@@ -366,9 +366,10 @@ def random_phrase_store(rng, n_words, dim, prefix):
 class TestColumnarInduction:
     def test_matches_the_dict_oracle_exactly(self, tmp_path):
         rng = np.random.default_rng(50)
-        for k, reverse_sample in ((3, 10), (6, 1000)):
-            src = random_phrase_store(rng, 9, 4, "s")
-            tgt = random_phrase_store(rng, 8, 4, "t")
+        # The last case has more source phrases than one row block holds.
+        for n_words, k, reverse_sample in ((9, 3, 10), (9, 6, 1000), (40, 4, 50)):
+            src = random_phrase_store(rng, n_words, 4, "s")
+            tgt = random_phrase_store(rng, n_words - 1, 4, "t")
             src_words, tgt_words = word_store(src), word_store(tgt)
             got = induce_tables(src, tgt, src_words, tgt_words, k, reverse_sample, seed=5)
             want_fwd, want_rev, tau_fwd, tau_rev = oracle_tables(
