@@ -1,21 +1,24 @@
 """Command-line interface.
 
 One subcommand per pipeline stage plus the end-to-end `pipeline` driver.
-Every subcommand accepts --config; explicit flags override config values,
-which override the built-in defaults. Exit code 0 on success, 1 on failure
-(pipeline failures name the failing stage).
+The stages with logic of their own are the `*_stage` functions of
+`pipeline`; a subcommand only parses flags, tokenizes its raw input and
+picks the optional outputs. Every subcommand accepts --config; explicit
+flags override config values, which override the built-in defaults. A
+config flag's `dest` is the PipelineConfig field it sets, so flags pass the
+config's range checks. Exit code 0 on success, 1 on failure (pipeline
+failures name the failing stage).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
-from pathlib import Path
 
-from .aligner import align_corpus, grow_diag_final_and, read_links, train_ibm2, write_links
-from .corpus import count_ngrams, load_corpus, sample_sentences
-from .decoder import FeatureWeights, TranslationSystem, translate_corpus
+from .aligner import read_links
+from .corpus import count_ngrams, load_corpus
 from .embeddings import load_embeddings, unit_normalize
 from .evaluation import precision_at_1, read_gold
 from .lexicon import (
@@ -24,31 +27,31 @@ from .lexicon import (
     dictionary_from_counts,
     write_extracted_counts,
 )
-from .lm import load_lm, save_lm, train_lm
-from .phrases import (
-    PhraseTable,
-    build_phrase_inventory,
-    build_phrase_store,
-    induce_tables,
-    word_store,
+from .lm import save_lm, train_lm
+from .phrases import build_phrase_inventory, build_phrase_store
+from .pipeline import (
+    PipelineConfig,
+    align_stage,
+    read_config,
+    run_pipeline,
+    tables_stage,
+    translate_stage,
+    tune_stage,
 )
-from .pipeline import PipelineConfig, PipelineStageError, read_config, run_pipeline
 from .retrieval import METHODS, RetrievalConfig, induce_dictionary
-from .tuner import TunerConfig, tune
 
 log = logging.getLogger(__name__)
 
-
-def _base_config(args: argparse.Namespace) -> PipelineConfig:
-    """The defaults a subcommand falls back to: the --config file when
-    given, otherwise the built-in PipelineConfig defaults."""
-    if getattr(args, "config", None):
-        return read_config(args.config)
-    return PipelineConfig()
+_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(PipelineConfig))
 
 
-def _pick(flag_value, base: PipelineConfig, field: str):
-    return flag_value if flag_value is not None else getattr(base, field)
+def _config(args: argparse.Namespace) -> PipelineConfig:
+    """The --config file (or the built-in defaults) with every flag that was
+    given and names a config field laid over it. The result passes the same
+    range checks as a config file."""
+    base = read_config(args.config) if args.config else PipelineConfig()
+    flags = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS and v is not None}
+    return dataclasses.replace(base, **flags)
 
 
 def _read_lines(path: str) -> list[str]:
@@ -56,8 +59,8 @@ def _read_lines(path: str) -> list[str]:
         return [line.strip() for line in fh if line.strip()]
 
 
-def _tokenized_corpus(path: str, base: PipelineConfig):
-    return load_corpus(path, base.aggressive_hyphens, base.lowercase)
+def _tokenized_corpus(path: str, config: PipelineConfig):
+    return load_corpus(path, config.aggressive_hyphens, config.lowercase)
 
 
 def _cmd_induce(args: argparse.Namespace) -> int:
@@ -79,35 +82,13 @@ def _cmd_induce(args: argparse.Namespace) -> int:
 
 
 def _cmd_phrase_table(args: argparse.Namespace) -> int:
-    base = _base_config(args)
-    vocab_size = _pick(args.vocab_size, base, "vocab_size")
-    ngram_cap = _pick(args.ngram_cap, base, "ngram_cap")
-    candidates = _pick(args.candidates, base, "candidates")
-    reverse_sample = _pick(args.reverse_sample, base, "reverse_sample")
-    seed = _pick(args.seed, base, "phrase_seed")
-
-    stores = {}
-    for side, corpus_path, emb_path in (
-        ("src", args.src_corpus, args.src_emb),
-        ("tgt", args.tgt_corpus, args.tgt_emb),
-    ):
-        corpus = _tokenized_corpus(corpus_path, base)
-        counts = count_ngrams(corpus, 3)
-        inventory = build_phrase_inventory(counts, vocab_size, ngram_cap)
-        words = unit_normalize(load_embeddings(emb_path))
-        phrases = build_phrase_store(inventory, words)
-        stores[side] = (phrases, word_store(phrases))
-    induced = induce_tables(
-        stores["src"][0], stores["tgt"][0], stores["src"][1], stores["tgt"][1],
-        k=candidates, reverse_sample=reverse_sample, seed=seed,
-    )
-    induced.table_fwd.write(args.out_fwd)
-    induced.table_rev.write(args.out_rev)
-    if args.out_tau:
-        Path(args.out_tau).write_text(
-            f"src2tgt {induced.tau_fwd.tau!r}\ntgt2src {induced.tau_rev.tau!r}\n",
-            encoding="utf-8",
-        )
+    config = _config(args)
+    stores = []
+    for corpus_path, emb_path in ((args.src_corpus, args.src_emb), (args.tgt_corpus, args.tgt_emb)):
+        counts = count_ngrams(_tokenized_corpus(corpus_path, config), 3)
+        inventory = build_phrase_inventory(counts, config.vocab_size, config.ngram_cap)
+        stores.append(build_phrase_store(inventory, unit_normalize(load_embeddings(emb_path))))
+    induced = tables_stage(config, *stores, args.out_fwd, args.out_rev, args.out_tau)
     log.info(
         "tables written: %s (tau %.4f), %s (tau %.4f)",
         args.out_fwd, induced.tau_fwd.tau, args.out_rev, induced.tau_rev.tau,
@@ -116,114 +97,52 @@ def _cmd_phrase_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_train_lm(args: argparse.Namespace) -> int:
-    base = _base_config(args)
-    order = _pick(args.order, base, "lm_order")
-    discount = _pick(args.discount, base, "lm_discount")
-    corpus = _tokenized_corpus(args.input, base)
-    save_lm(train_lm(corpus, order, discount), args.out)
+    config = _config(args)
+    corpus = _tokenized_corpus(args.input, config)
+    save_lm(train_lm(corpus, config.lm_order, config.lm_discount), args.out)
     return 0
 
 
-def _decoder_args(args: argparse.Namespace, base: PipelineConfig):
-    beam = _pick(args.beam, base, "beam")
-    distortion_limit = _pick(args.distortion_limit, base, "distortion_limit")
-    options_limit = _pick(args.options_limit, base, "options_limit") or None
-    return beam, distortion_limit, options_limit
-
-
 def _cmd_tune(args: argparse.Namespace) -> int:
-    base = _base_config(args)
-    beam, distortion_limit, options_limit = _decoder_args(args, base)
-    forward = TranslationSystem(
-        PhraseTable.read(args.table), load_lm(args.lm), FeatureWeights(),
-        beam, distortion_limit, options_limit,
+    config = _config(args)
+    tune_stage(
+        config, args.table, args.rev_table, args.lm, args.rev_lm,
+        _tokenized_corpus(args.input, config), args.out,
     )
-    backward = TranslationSystem(
-        PhraseTable.read(args.rev_table), load_lm(args.rev_lm), FeatureWeights(),
-        beam, distortion_limit, options_limit,
-    )
-    dev = sample_sentences(
-        _tokenized_corpus(args.input, base),
-        _pick(args.dev_size, base, "dev_size"),
-        _pick(args.seed, base, "dev_seed"),
-    )
-    tuner_config = TunerConfig(
-        cyclic_weight=base.cyclic_weight,
-        lm_weight=base.lm_weight,
-        length_weight=base.length_weight,
-        sweeps=_pick(args.sweeps, base, "sweeps"),
-        golden_iterations=_pick(args.golden_iterations, base, "golden_iterations"),
-        weight_lo=base.weight_lo,
-        weight_hi=base.weight_hi,
-    )
-    tuned = tune(FeatureWeights(), list(dev.sentences), forward, backward, tuner_config)
-    tuned.write(args.out)
     return 0
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
-    base = _base_config(args)
-    beam, distortion_limit, options_limit = _decoder_args(args, base)
-    weights = FeatureWeights.read(args.weights) if args.weights else FeatureWeights()
-    system = TranslationSystem(
-        PhraseTable.read(args.table), load_lm(args.lm), weights,
-        beam, distortion_limit, options_limit,
+    config = _config(args)
+    count = translate_stage(
+        config, args.table, args.lm, args.weights, _tokenized_corpus(args.input, config), args.out
     )
-    corpus = _tokenized_corpus(args.input, base)
-    pairs = translate_corpus(
-        corpus.sentences, system,
-        _pick(args.cap, base, "corpus_cap"),
-        _pick(args.workers, base, "workers"),
-    )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for _, output in pairs:
-            fh.write(" ".join(output) + "\n")
-    log.info("translated %d sentences to %s", len(pairs), args.out)
+    log.info("translated %d sentences to %s", count, args.out)
     return 0
 
 
 def _cmd_align(args: argparse.Namespace) -> int:
-    base = _base_config(args)
     if not (args.out_fwd or args.out_rev or args.out_sym):
         raise ValueError("align: give at least one of --out-fwd, --out-rev, --out-sym")
     if args.out_sym and args.symmetrize == "none":
         raise ValueError("align: --out-sym requires --symmetrize gdfa")
-    iterations = _pick(args.iterations, base, "align_iterations")
-    tension = _pick(args.tension, base, "align_tension")
-    null_prob = _pick(args.null_prob, base, "align_null_prob")
-    grad_steps = _pick(args.grad_steps, base, "align_grad_steps")
-
-    src = _tokenized_corpus(args.src, base)
-    tgt = _tokenized_corpus(args.tgt, base)
-    if len(src) != len(tgt):
-        raise ValueError(f"align: {args.src} has {len(src)} lines, {args.tgt} has {len(tgt)}")
-    pairs = list(zip(src.sentences, tgt.sentences))
-    forward = align_corpus(train_ibm2(pairs, iterations, tension, null_prob, grad_steps), pairs)
-    if args.out_fwd:
-        write_links(forward, args.out_fwd)
-    reverse = None
-    if args.out_rev or args.out_sym:
-        flipped = [(t, s) for s, t in pairs]
-        raw = align_corpus(train_ibm2(flipped, iterations, tension, null_prob, grad_steps), flipped)
-        reverse = [{(j, i) for i, j in links} for links in raw]
-        if args.out_rev:
-            write_links(reverse, args.out_rev)
-    if args.out_sym:
-        write_links([grow_diag_final_and(a, b) for a, b in zip(forward, reverse)], args.out_sym)
+    config = _config(args)
+    align_stage(
+        config, _tokenized_corpus(args.src, config), _tokenized_corpus(args.tgt, config),
+        args.out_fwd, args.out_rev, args.out_sym,
+    )
     return 0
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    base = _base_config(args)
-    src = _tokenized_corpus(args.src, base)
-    tgt = _tokenized_corpus(args.tgt, base)
+    config = _config(args)
+    src = _tokenized_corpus(args.src, config)
+    tgt = _tokenized_corpus(args.tgt, config)
     bitext = list(zip(src.sentences, tgt.sentences))
-    counts = count_extractions(
-        bitext, read_links(args.links), _pick(args.max_phrase_len, base, "max_phrase_len")
-    )
+    counts = count_extractions(bitext, read_links(args.links), config.max_phrase_len)
     if args.counts:
         write_extracted_counts(counts, args.counts)
-    dictionary = dictionary_from_counts(counts, _pick(args.denominator, base, "denominator"))
+    dictionary = dictionary_from_counts(counts, config.denominator)
     dictionary.write(args.out)
     log.info("dictionary with %d source words written to %s", len(dictionary), args.out)
     return 0
@@ -284,13 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ngram-cap", type=int)
     p.add_argument("--candidates", type=int)
     p.add_argument("--reverse-sample", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", dest="phrase_seed", type=int)
 
     p = add("train-lm", _cmd_train_lm, "train the Kneser-Ney language model")
     p.add_argument("--input", required=True, help="training text, one sentence per line")
     p.add_argument("--out", required=True)
-    p.add_argument("--order", type=int)
-    p.add_argument("--discount", type=float)
+    p.add_argument("--order", dest="lm_order", type=int)
+    p.add_argument("--discount", dest="lm_discount", type=float)
 
     p = add("tune", _cmd_tune, "tune decoder weights on a dev sample")
     p.add_argument("--table", required=True, help="forward phrase table")
@@ -300,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="source corpus to sample the dev set from")
     p.add_argument("--out", required=True, help="tuned weights file")
     p.add_argument("--dev-size", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", dest="dev_seed", type=int)
     p.add_argument("--sweeps", type=int)
     p.add_argument("--golden-iterations", type=int)
     p.add_argument("--beam", type=int)
@@ -313,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", help="weights file (defaults when omitted)")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--cap", type=int, help="max sentences to translate")
+    p.add_argument("--cap", dest="corpus_cap", type=int, help="max sentences to translate")
     p.add_argument("--beam", type=int)
     p.add_argument("--distortion-limit", type=int)
     p.add_argument("--options-limit", type=int)
@@ -326,10 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-rev", help="reverse links output (source-target orientation)")
     p.add_argument("--out-sym", help="symmetrized links output")
     p.add_argument("--symmetrize", choices=("gdfa", "none"), default="gdfa")
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--tension", type=float)
-    p.add_argument("--null-prob", type=float)
-    p.add_argument("--grad-steps", type=int)
+    p.add_argument("--iterations", dest="align_iterations", type=int)
+    p.add_argument("--tension", dest="align_tension", type=float)
+    p.add_argument("--null-prob", dest="align_null_prob", type=float)
+    p.add_argument("--grad-steps", dest="align_grad_steps", type=int)
 
     p = add("extract", _cmd_extract, "extract phrase pairs and build the dictionary")
     p.add_argument("--src", required=True)
@@ -360,9 +279,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.handler(args)
-    except PipelineStageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (OSError, ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -147,28 +147,6 @@ def count_ngrams(corpus: Corpus | Iterable[Sequence[str]], max_n: int) -> dict[i
     return by_order
 
 
-def merge_ngram_counts(parts: Sequence[dict[int, NGramCounts]]) -> dict[int, NGramCounts]:
-    """Merge per-shard count maps; the result is identical to counting the
-    concatenated shards sequentially."""
-    if not parts:
-        raise ValueError("no count shards to merge")
-    orders = sorted(parts[0])
-    merged = {n: NGramCounts(n) for n in orders}
-    for part in parts:
-        if sorted(part) != orders:
-            raise ValueError("count shards disagree on n-gram orders")
-        for n in orders:
-            merged[n].counts.update(part[n].counts)
-    return merged
-
-
-def write_ngram_counts(counts: NGramCounts, path: str | Path) -> None:
-    """Debug dump: one "token[ token]*\\tcount" line per n-gram, sorted."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for gram in sorted(counts.counts):
-            fh.write(" ".join(gram) + "\t" + str(counts.counts[gram]) + "\n")
-
-
 def build_vocabulary(unigrams: NGramCounts, size: int) -> list[str]:
     """The `size` most frequent tokens, ties broken lexicographically."""
     if size < 1:

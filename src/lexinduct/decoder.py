@@ -120,9 +120,10 @@ def feature_score(
     lm: NGramModel,
     source_length: int | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Recompute the feature vector and model score of a derivation from
-    scratch. With source_length given, verifies the steps cover the source
-    exactly once."""
+    """Test oracle: recompute the feature vector and model score of a
+    derivation from scratch, for checking the decoder's incremental scores.
+    With source_length given, verifies the steps cover the source exactly
+    once."""
     if source_length is not None:
         covered: set[int] = set()
         for step in steps:

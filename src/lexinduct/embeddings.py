@@ -285,7 +285,10 @@ def k_nearest(
     """Exact cosine k-nearest targets for each query token.
 
     Queries must exist in `src`. If k exceeds the target vocabulary the full
-    ranking is returned with a warning. Results are independent of `block`.
+    ranking is returned with a warning. `block` rows of cosines are computed
+    per matrix product; BLAS may round a cosine differently in the last bits
+    for another block size, so on large stores scores and near-tied ranks
+    can depend on it. The pipeline always uses the default.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

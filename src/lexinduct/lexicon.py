@@ -121,20 +121,6 @@ class ExtractedCounts:
 
     pairs: Counter = field(default_factory=Counter)
 
-    @property
-    def src_marginals(self) -> Counter:
-        out: Counter = Counter()
-        for (s, _), c in self.pairs.items():
-            out[s] += c
-        return out
-
-    @property
-    def tgt_marginals(self) -> Counter:
-        out: Counter = Counter()
-        for (_, t), c in self.pairs.items():
-            out[t] += c
-        return out
-
 
 def count_extractions(
     bitext: Iterable[tuple[Sequence[str], Sequence[str]]],
@@ -144,10 +130,8 @@ def count_extractions(
     """Run extraction over a parallel corpus and tally pair occurrences."""
     counts = ExtractedCounts()
     n_pairs = 0
-    n_links = 0
     for (src, tgt), links in zip(bitext, link_sets, strict=True):
         n_pairs += 1
-        n_links += len(links)
         for pair in extract_phrases(src, tgt, links, max_len):
             counts.pairs[pair] += 1
     if n_pairs == 0:

@@ -103,7 +103,9 @@ def phrase_key(phrase: Phrase) -> str:
 
 
 def phrase_embedding(phrase: Phrase, words: EmbeddingStore) -> np.ndarray:
-    """Renormalized mean of the phrase's unit word vectors."""
+    """Test oracle: renormalized mean of the phrase's unit word vectors,
+    one phrase at a time; `build_phrase_store` computes the same vectors in
+    bulk."""
     if not phrase:
         raise ValueError("empty phrase")
     if not words.normalized:

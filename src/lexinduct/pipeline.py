@@ -15,7 +15,13 @@ and the digests of its input files.
 A stage whose manifest matches the current digest (and whose outputs are
 still intact) is skipped, so a re-run with unchanged inputs recomputes
 nothing and a change anywhere upstream invalidates exactly the stages that
-depend on it. A lock file keeps two pipeline runs out of one work dir.
+depend on it. A lock on a file in the work dir keeps two pipeline runs out
+of one work dir.
+
+Each stage with logic of its own (`tables_stage`, `tune_stage`,
+`translate_stage`, `align_stage`) is a module-level function of the config,
+its in-memory inputs and its output paths; `run_pipeline` and the matching
+CLI subcommand both call it.
 
 Outputs are deterministic for fixed config, inputs, and seeds; the worker
 count only affects wall-clock time, never bytes.
@@ -24,18 +30,19 @@ count only affects wall-clock time, never bytes.
 from __future__ import annotations
 
 import configparser
+import fcntl
 import hashlib
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .aligner import align_corpus, grow_diag_final_and, read_links, train_ibm2, write_links
 from .corpus import Corpus, count_ngrams, load_corpus, sample_sentences, write_corpus
 from .decoder import FeatureWeights, TranslationSystem, translate_corpus
-from .embeddings import load_cache, load_embeddings, save_cache, unit_normalize
+from .embeddings import EmbeddingStore, load_cache, load_embeddings, save_cache, unit_normalize
 from .evaluation import read_gold, precision_at_1
 from .lexicon import (
     InducedDictionary,
@@ -48,6 +55,7 @@ from .lm import load_lm, save_lm, train_lm
 from .phrases import (
     PhraseInventory,
     PhraseTable,
+    TableInduction,
     build_phrase_inventory,
     build_phrase_store,
     induce_tables,
@@ -75,6 +83,26 @@ STAGE_VERSIONS = {
     "extract": 1,
     "dictionary": 1,
     "evaluate": 1,
+}
+# The config fields in each stage kind's digest, under their field names.
+# The worker count is execution detail, not behavior: it is in no digest.
+_DECODER_PARAMS = ("beam", "distortion_limit", "options_limit")
+STAGE_PARAMS: dict[str, tuple[str, ...]] = {
+    "corpus": ("lowercase", "aggressive_hyphens"),
+    "inventory": ("vocab_size", "ngram_cap"),
+    "phrases": (),
+    "lm": ("lm_order", "lm_discount"),
+    "tables": ("candidates", "reverse_sample", "phrase_seed"),
+    "tune": _DECODER_PARAMS + (
+        "dev_size", "dev_seed", "sweeps", "golden_iterations", "cyclic_weight",
+        "lm_weight", "length_weight", "weight_lo", "weight_hi",
+    ),
+    "translate": _DECODER_PARAMS + ("corpus_cap",),
+    "align": ("align_iterations", "align_tension", "align_null_prob", "align_grad_steps"),
+    "symmetrize": (),
+    "extract": ("max_phrase_len",),
+    "dictionary": ("denominator",),
+    "evaluate": (),
 }
 WORK_DIR_ENV = "LEXINDUCT_WORK_DIR"
 LOCK_NAME = ".lock"
@@ -287,8 +315,9 @@ class _Runner:
     """Executes stages, skipping any whose manifest already matches the
     digest of its inputs and parameters."""
 
-    def __init__(self, work_dir: Path):
+    def __init__(self, work_dir: Path, config: PipelineConfig):
         self.work_dir = work_dir
+        self.config = config
         self.manifest_dir = work_dir / "manifests"
         self.manifest_dir.mkdir(parents=True, exist_ok=True)
         self.records: list[StageRecord] = []
@@ -300,11 +329,11 @@ class _Runner:
         self,
         name: str,
         inputs: Sequence[Path],
-        params: dict,
         outputs: Sequence[Path],
-        fn: Callable[[], None],
+        fn: Callable[[], object],
     ) -> bool:
         """Run (or skip) one stage; returns True when it actually ran."""
+        kind = name.partition(":")[0]
         digests: dict[str, str] = {}
         ordered: list[str] = []
         for p in inputs:
@@ -318,8 +347,8 @@ class _Runner:
             {
                 "stage": name,
                 "format": MANIFEST_VERSION,
-                "version": STAGE_VERSIONS[name.partition(":")[0]],
-                "params": params,
+                "version": STAGE_VERSIONS[kind],
+                "params": {f: getattr(self.config, f) for f in STAGE_PARAMS[kind]},
                 "inputs": ordered,
             },
             sort_keys=True,
@@ -369,26 +398,42 @@ class _Runner:
 
 
 class _WorkDirLock:
-    """One pipeline instance per work dir, enforced with an exclusive-create
-    lock file holding the owner's pid."""
+    """One pipeline run per work dir: the run holds an exclusive `flock` on
+    the lock file until it ends. The kernel drops the lock when its holder
+    dies, so a lock file left by a killed run does not block the next one."""
 
     def __init__(self, work_dir: Path):
         self.path = work_dir / LOCK_NAME
+        self.fd: int | None = None
 
     def __enter__(self) -> "_WorkDirLock":
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise RuntimeError(
-                f"work dir {self.path.parent} is locked by another pipeline run"
-                f" (remove {self.path} if that run is gone)"
-            ) from None
+        while True:
+            fd = os.open(self.path, os.O_CREAT | os.O_WRONLY, 0o644)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                os.close(fd)
+                raise RuntimeError(
+                    f"work dir {self.path.parent} is locked by another pipeline run"
+                ) from None
+            # A holder unlinks the file before it unlocks, so the lock taken
+            # may be on a file that no longer has this name: open it again.
+            try:
+                held = os.fstat(fd)
+                named = os.stat(self.path)
+                if (held.st_dev, held.st_ino) == (named.st_dev, named.st_ino):
+                    break
+            except FileNotFoundError:
+                pass
+            os.close(fd)
+        os.ftruncate(fd, 0)
         os.write(fd, f"{os.getpid()}\n".encode("ascii"))
-        os.close(fd)
+        self.fd = fd
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.path.unlink(missing_ok=True)
+        os.close(self.fd)
 
 
 @dataclass
@@ -438,6 +483,139 @@ def _read_inventory(path: Path) -> PhraseInventory:
     return PhraseInventory(phrases)
 
 
+def _write_lines(sentences, path: str | Path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for sentence in sentences:
+            fh.write(" ".join(sentence) + "\n")
+
+
+def _system(
+    config: PipelineConfig, table: str | Path, lm: str | Path, weights: FeatureWeights
+) -> TranslationSystem:
+    return TranslationSystem(
+        PhraseTable.read(table), load_lm(lm), weights,
+        config.beam, config.distortion_limit, config.options_limit or None,
+    )
+
+
+def _train_aligner(config: PipelineConfig, pairs):
+    return train_ibm2(
+        pairs, config.align_iterations, config.align_tension,
+        config.align_null_prob, config.align_grad_steps,
+    )
+
+
+def _symmetrize(forward, reverse, out: str | Path) -> None:
+    if len(forward) != len(reverse):
+        raise ValueError("directional link files differ in length")
+    write_links([grow_diag_final_and(a, b) for a, b in zip(forward, reverse)], out)
+
+
+def tables_stage(
+    config: PipelineConfig,
+    src_phrases: EmbeddingStore,
+    tgt_phrases: EmbeddingStore,
+    out_fwd: str | Path,
+    out_rev: str | Path,
+    out_tau: str | Path | None = None,
+) -> TableInduction:
+    """Induce both phrase tables from the two phrase stores and write them;
+    with `out_tau`, also write the fitted temperatures."""
+    induced = induce_tables(
+        src_phrases,
+        tgt_phrases,
+        word_store(src_phrases),
+        word_store(tgt_phrases),
+        k=config.candidates,
+        reverse_sample=config.reverse_sample,
+        seed=config.phrase_seed,
+    )
+    induced.table_fwd.write(out_fwd)
+    induced.table_rev.write(out_rev)
+    if out_tau:
+        Path(out_tau).write_text(
+            f"src2tgt {induced.tau_fwd.tau!r}\ntgt2src {induced.tau_rev.tau!r}\n",
+            encoding="utf-8",
+        )
+    return induced
+
+
+def tune_stage(
+    config: PipelineConfig,
+    table: str | Path,
+    opposite_table: str | Path,
+    lm: str | Path,
+    opposite_lm: str | Path,
+    corpus: Corpus,
+    out: str | Path,
+) -> None:
+    """Tune the decoder weights on a dev sample of the source `corpus` and
+    write them. `table` and `lm` translate into the target language,
+    `opposite_table` and `opposite_lm` back; at `sweeps = 0` the initial
+    weights are written without decoding."""
+    if config.sweeps == 0:
+        FeatureWeights().write(out)
+        return
+    forward = _system(config, table, lm, FeatureWeights())
+    backward = _system(config, opposite_table, opposite_lm, FeatureWeights())
+    dev = sample_sentences(corpus, config.dev_size, config.dev_seed)
+    tuner_config = TunerConfig(
+        **{f.name: getattr(config, f.name) for f in fields(TunerConfig)}
+    )
+    tune(FeatureWeights(), list(dev.sentences), forward, backward, tuner_config).write(out)
+
+
+def translate_stage(
+    config: PipelineConfig,
+    table: str | Path,
+    lm: str | Path,
+    weights: str | Path | None,
+    corpus: Corpus,
+    out_tgt: str | Path,
+    out_src: str | Path | None = None,
+) -> int:
+    """Translate the first `corpus_cap` sentences of `corpus` (default
+    weights when `weights` is None), write the output and, with `out_src`,
+    the source sentences it came from; returns the sentence count."""
+    system = _system(
+        config, table, lm, FeatureWeights.read(weights) if weights else FeatureWeights()
+    )
+    pairs = translate_corpus(corpus.sentences, system, config.corpus_cap, config.workers)
+    _write_lines((output for _, output in pairs), out_tgt)
+    if out_src:
+        _write_lines((source for source, _ in pairs), out_src)
+    return len(pairs)
+
+
+def align_stage(
+    config: PipelineConfig,
+    src: Corpus,
+    tgt: Corpus,
+    out_fwd: str | Path | None = None,
+    out_rev: str | Path | None = None,
+    out_sym: str | Path | None = None,
+) -> None:
+    """Align a parallel corpus with IBM-2 in each direction that an output
+    needs and write the links, all in source-target orientation: forward,
+    reverse, and their grow-diag-final-and symmetrization."""
+    if len(src) != len(tgt):
+        raise ValueError(
+            f"align: {src.source_path} has {len(src)} lines, {tgt.source_path} has {len(tgt)}"
+        )
+    pairs = list(zip(src.sentences, tgt.sentences))
+    forward = align_corpus(_train_aligner(config, pairs), pairs)
+    if out_fwd:
+        write_links(forward, out_fwd)
+    if out_rev or out_sym:
+        flipped = [(t, s) for s, t in pairs]
+        raw = align_corpus(_train_aligner(config, flipped), flipped)
+        reverse = [{(j, i) for i, j in links} for links in raw]
+        if out_rev:
+            write_links(reverse, out_rev)
+        if out_sym:
+            _symmetrize(forward, reverse, out_sym)
+
+
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Execute every stage the configured direction needs, reusing cached
     stage outputs, and return the induced dictionaries plus evaluation."""
@@ -450,10 +628,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     work_dir = Path(work_dir_text)
     work_dir.mkdir(parents=True, exist_ok=True)
 
-    options_limit = config.options_limit or None
-
     with _WorkDirLock(work_dir):
-        runner = _Runner(work_dir)
+        runner = _Runner(work_dir, config)
         langs = {
             "src": (Path(config.src_corpus), Path(config.src_embeddings)),
             "tgt": (Path(config.tgt_corpus), Path(config.tgt_embeddings)),
@@ -470,13 +646,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             def corpus_stage(raw=raw_corpus, out=tok):
                 write_corpus(load_corpus(raw, config.aggressive_hyphens, config.lowercase), out)
 
-            runner.run(
-                f"corpus:{lang}",
-                [raw_corpus],
-                {"lowercase": config.lowercase, "aggressive_hyphens": config.aggressive_hyphens},
-                [tok],
-                corpus_stage,
-            )
+            runner.run(f"corpus:{lang}", [raw_corpus], [tok], corpus_stage)
 
             inv = ldir / "inventory.txt"
 
@@ -486,13 +656,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                     build_phrase_inventory(counts, config.vocab_size, config.ngram_cap), out
                 )
 
-            runner.run(
-                f"inventory:{lang}",
-                [tok],
-                {"vocab_size": config.vocab_size, "ngram_cap": config.ngram_cap},
-                [inv],
-                inventory_stage,
-            )
+            runner.run(f"inventory:{lang}", [tok], [inv], inventory_stage)
 
             npz = ldir / "phrases.npz"
             phrase_npz[lang] = npz
@@ -501,7 +665,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 words = unit_normalize(load_embeddings(raw))
                 save_cache(build_phrase_store(_read_inventory(inv), words), out)
 
-            runner.run(f"phrases:{lang}", [inv, raw_embeddings], {}, [npz], phrases_stage)
+            runner.run(f"phrases:{lang}", [inv, raw_embeddings], [npz], phrases_stage)
 
             lm_out = ldir / "lm.txt"
             lm_paths[lang] = lm_out
@@ -509,46 +673,18 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             def lm_stage(tok=tok, out=lm_out):
                 save_lm(train_lm(_read_tokenized(tok), config.lm_order, config.lm_discount), out)
 
-            runner.run(
-                f"lm:{lang}",
-                [tok],
-                {"order": config.lm_order, "discount": config.lm_discount},
-                [lm_out],
-                lm_stage,
-            )
+            runner.run(f"lm:{lang}", [tok], [lm_out], lm_stage)
 
         table_paths = {d: work_dir / d / "phrase_table.txt" for d in DIRECTIONS}
         tau_path = work_dir / "temperatures.txt"
-
-        def tables_stage():
-            src_phrases = load_cache(phrase_npz["src"])
-            tgt_phrases = load_cache(phrase_npz["tgt"])
-            induced = induce_tables(
-                src_phrases,
-                tgt_phrases,
-                word_store(src_phrases),
-                word_store(tgt_phrases),
-                k=config.candidates,
-                reverse_sample=config.reverse_sample,
-                seed=config.phrase_seed,
-            )
-            induced.table_fwd.write(table_paths["src2tgt"])
-            induced.table_rev.write(table_paths["tgt2src"])
-            tau_path.write_text(
-                f"src2tgt {induced.tau_fwd.tau!r}\ntgt2src {induced.tau_rev.tau!r}\n",
-                encoding="utf-8",
-            )
-
         runner.run(
             "tables",
             [phrase_npz["src"], phrase_npz["tgt"]],
-            {
-                "candidates": config.candidates,
-                "reverse_sample": config.reverse_sample,
-                "seed": config.phrase_seed,
-            },
             [table_paths["src2tgt"], table_paths["tgt2src"], tau_path],
-            tables_stage,
+            lambda: tables_stage(
+                config, load_cache(phrase_npz["src"]), load_cache(phrase_npz["tgt"]),
+                table_paths["src2tgt"], table_paths["tgt2src"], tau_path,
+            ),
         )
 
         results: dict[str, DirectionResult] = {}
@@ -557,150 +693,51 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             opposite = "tgt2src" if direction == "src2tgt" else "src2tgt"
             ddir = work_dir / direction
             table_path = table_paths[direction]
+            source_tok = tokenized[source_lang]
             weights_path = ddir / "weights.txt"
-
-            decoder_params = {
-                "beam": config.beam,
-                "distortion_limit": config.distortion_limit,
-                "options_limit": config.options_limit,
-            }
-
-            def tune_stage(
-                table_path=table_path,
-                opposite_table=table_paths[opposite],
-                lm_fwd=lm_paths[target_lang],
-                lm_bwd=lm_paths[source_lang],
-                corpus_path=tokenized[source_lang],
-                out=weights_path,
-            ):
-                if config.sweeps == 0:
-                    FeatureWeights().write(out)
-                    return
-                forward = TranslationSystem(
-                    PhraseTable.read(table_path), load_lm(lm_fwd), FeatureWeights(),
-                    config.beam, config.distortion_limit, options_limit,
-                )
-                backward = TranslationSystem(
-                    PhraseTable.read(opposite_table), load_lm(lm_bwd), FeatureWeights(),
-                    config.beam, config.distortion_limit, options_limit,
-                )
-                dev = sample_sentences(_read_tokenized(corpus_path), config.dev_size, config.dev_seed)
-                tuned = tune(
-                    FeatureWeights(),
-                    list(dev.sentences),
-                    forward,
-                    backward,
-                    TunerConfig(
-                        cyclic_weight=config.cyclic_weight,
-                        lm_weight=config.lm_weight,
-                        length_weight=config.length_weight,
-                        sweeps=config.sweeps,
-                        golden_iterations=config.golden_iterations,
-                        weight_lo=config.weight_lo,
-                        weight_hi=config.weight_hi,
-                    ),
-                )
-                tuned.write(out)
 
             runner.run(
                 f"tune:{direction}",
                 [table_path, table_paths[opposite], lm_paths[target_lang],
-                 lm_paths[source_lang], tokenized[source_lang]],
-                {
-                    **decoder_params,
-                    "dev_size": config.dev_size,
-                    "dev_seed": config.dev_seed,
-                    "sweeps": config.sweeps,
-                    "golden_iterations": config.golden_iterations,
-                    "cyclic_weight": config.cyclic_weight,
-                    "lm_weight": config.lm_weight,
-                    "length_weight": config.length_weight,
-                    "weight_lo": config.weight_lo,
-                    "weight_hi": config.weight_hi,
-                },
+                 lm_paths[source_lang], source_tok],
                 [weights_path],
-                tune_stage,
+                lambda: tune_stage(
+                    config, table_path, table_paths[opposite], lm_paths[target_lang],
+                    lm_paths[source_lang], _read_tokenized(source_tok), weights_path,
+                ),
             )
 
             syn_src = ddir / "synthetic.source.txt"
             syn_tgt = ddir / "synthetic.target.txt"
-
-            def translate_stage(
-                table_path=table_path,
-                lm_path=lm_paths[target_lang],
-                weights_path=weights_path,
-                corpus_path=tokenized[source_lang],
-                out_src=syn_src,
-                out_tgt=syn_tgt,
-            ):
-                system = TranslationSystem(
-                    PhraseTable.read(table_path), load_lm(lm_path),
-                    FeatureWeights.read(weights_path),
-                    config.beam, config.distortion_limit, options_limit,
-                )
-                pairs = translate_corpus(
-                    _read_tokenized(corpus_path).sentences, system,
-                    config.corpus_cap, config.workers,
-                )
-                with open(out_src, "w", encoding="utf-8") as fs, \
-                        open(out_tgt, "w", encoding="utf-8") as ft:
-                    for source, output in pairs:
-                        fs.write(" ".join(source) + "\n")
-                        ft.write(" ".join(output) + "\n")
-
-            # The worker count is execution detail, not behavior: it stays
-            # out of the stage digest.
             runner.run(
                 f"translate:{direction}",
-                [table_path, lm_paths[target_lang], weights_path, tokenized[source_lang]],
-                {**decoder_params, "corpus_cap": config.corpus_cap},
+                [table_path, lm_paths[target_lang], weights_path, source_tok],
                 [syn_src, syn_tgt],
-                translate_stage,
+                lambda: translate_stage(
+                    config, table_path, lm_paths[target_lang], weights_path,
+                    _read_tokenized(source_tok), syn_tgt, syn_src,
+                ),
             )
 
             links_fwd = ddir / "links.forward.txt"
             links_rev = ddir / "links.reverse.txt"
-
-            def align_stage(src=syn_src, tgt=syn_tgt, out_fwd=links_fwd, out_rev=links_rev):
-                pairs = list(zip(_read_tokenized(src).sentences, _read_tokenized(tgt).sentences))
-                forward = train_ibm2(
-                    pairs, config.align_iterations, config.align_tension,
-                    config.align_null_prob, config.align_grad_steps,
-                )
-                write_links(align_corpus(forward, pairs), out_fwd)
-                flipped = [(t, s) for s, t in pairs]
-                reverse = train_ibm2(
-                    flipped, config.align_iterations, config.align_tension,
-                    config.align_null_prob, config.align_grad_steps,
-                )
-                write_links(
-                    [{(j, i) for i, j in links} for links in align_corpus(reverse, flipped)],
-                    out_rev,
-                )
-
             runner.run(
                 f"align:{direction}",
                 [syn_src, syn_tgt],
-                {
-                    "iterations": config.align_iterations,
-                    "tension": config.align_tension,
-                    "null_prob": config.align_null_prob,
-                    "grad_steps": config.align_grad_steps,
-                },
                 [links_fwd, links_rev],
-                align_stage,
+                lambda: align_stage(
+                    config, _read_tokenized(syn_src), _read_tokenized(syn_tgt),
+                    links_fwd, links_rev,
+                ),
             )
 
             links_sym = ddir / "links.txt"
-
-            def symmetrize_stage(fwd=links_fwd, rev=links_rev, out=links_sym):
-                forward = read_links(fwd)
-                reverse = read_links(rev)
-                if len(forward) != len(reverse):
-                    raise ValueError("directional link files differ in length")
-                write_links([grow_diag_final_and(a, b) for a, b in zip(forward, reverse)], out)
-
-            runner.run(f"symmetrize:{direction}", [links_fwd, links_rev], {}, [links_sym], symmetrize_stage)
+            runner.run(
+                f"symmetrize:{direction}",
+                [links_fwd, links_rev],
+                [links_sym],
+                lambda: _symmetrize(read_links(links_fwd), read_links(links_rev), links_sym),
+            )
 
             counts_path = ddir / "extract_counts.txt"
 
@@ -709,26 +746,14 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 counts = count_extractions(bitext, read_links(links), config.max_phrase_len)
                 write_extracted_counts(counts, out)
 
-            runner.run(
-                f"extract:{direction}",
-                [syn_src, syn_tgt, links_sym],
-                {"max_phrase_len": config.max_phrase_len},
-                [counts_path],
-                extract_stage,
-            )
+            runner.run(f"extract:{direction}", [syn_src, syn_tgt, links_sym], [counts_path], extract_stage)
 
             dict_path = ddir / "dictionary.tsv"
 
             def dictionary_stage(counts=counts_path, out=dict_path):
                 dictionary_from_counts(read_extracted_counts(counts), config.denominator).write(out)
 
-            runner.run(
-                f"dictionary:{direction}",
-                [counts_path],
-                {"denominator": config.denominator},
-                [dict_path],
-                dictionary_stage,
-            )
+            runner.run(f"dictionary:{direction}", [counts_path], [dict_path], dictionary_stage)
 
             gold_path = config.gold_src2tgt if direction == "src2tgt" else config.gold_tgt2src
             report_path: Path | None = None
@@ -741,7 +766,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                     out.write_text(f"P@1 {score:.6f} OOV {oov:.6f}\n", encoding="utf-8")
 
                 runner.run(
-                    f"evaluate:{direction}", [dict_path, Path(gold_path)], {}, [report_path], evaluate_stage
+                    f"evaluate:{direction}", [dict_path, Path(gold_path)], [report_path], evaluate_stage
                 )
                 parts = report_path.read_text(encoding="utf-8").split()
                 p_at_1, oov_rate = float(parts[1]), float(parts[3])

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import make_micro_cipher, micro_config
-from lexinduct import InducedDictionary, load_lm, read_links, write_config
+from lexinduct import InducedDictionary, load_lm, read_links, run_pipeline, write_config
 from lexinduct.cli import main
 
 
@@ -309,3 +309,79 @@ class TestPipelineCommand:
     def test_missing_config_file_exits_1(self, tmp_path, capsys):
         assert run_cli(["pipeline", "--config", str(tmp_path / "absent.cfg")]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestPipelineParity:
+    """The stage subcommands, fed the pipeline's config file, write the
+    same bytes as the cached pipeline's work dir."""
+
+    @pytest.mark.parametrize("tuning", [{"sweeps": 0}, {"sweeps": 1, "golden_iterations": 1}])
+    def test_subcommand_chain_matches_the_work_dir(self, tmp_path, tuning):
+        fx = make_micro_cipher(tmp_path / "data")
+        config = micro_config(fx, tmp_path / "work", **tuning)
+        run_pipeline(config)
+        cfg = tmp_path / "run.cfg"
+        write_config(config, cfg)
+        out = tmp_path / "cli"
+        out.mkdir()
+
+        def cli(*argv):
+            assert run_cli([argv[0], "--config", str(cfg), *argv[1:]]) == 0
+
+        cli("phrase-table", "--src-corpus", str(fx.src_corpus), "--tgt-corpus", str(fx.tgt_corpus),
+            "--src-emb", str(fx.src_embeddings), "--tgt-emb", str(fx.tgt_embeddings),
+            "--out-fwd", str(out / "fwd.txt"), "--out-rev", str(out / "rev.txt"),
+            "--out-tau", str(out / "tau.txt"))
+        cli("train-lm", "--input", str(fx.src_corpus), "--out", str(out / "lm_src.txt"))
+        cli("train-lm", "--input", str(fx.tgt_corpus), "--out", str(out / "lm_tgt.txt"))
+        cli("tune", "--table", str(out / "fwd.txt"), "--rev-table", str(out / "rev.txt"),
+            "--lm", str(out / "lm_tgt.txt"), "--rev-lm", str(out / "lm_src.txt"),
+            "--input", str(fx.src_corpus), "--out", str(out / "weights.txt"))
+        cli("translate", "--table", str(out / "fwd.txt"), "--lm", str(out / "lm_tgt.txt"),
+            "--weights", str(out / "weights.txt"), "--input", str(fx.src_corpus),
+            "--out", str(out / "synthetic.txt"))
+        cli("align", "--src", str(fx.src_corpus), "--tgt", str(out / "synthetic.txt"),
+            "--out-fwd", str(out / "links_fwd.txt"), "--out-rev", str(out / "links_rev.txt"),
+            "--out-sym", str(out / "links.txt"))
+        cli("extract", "--src", str(fx.src_corpus), "--tgt", str(out / "synthetic.txt"),
+            "--links", str(out / "links.txt"), "--out", str(out / "dict.tsv"),
+            "--counts", str(out / "counts.txt"))
+
+        work = tmp_path / "work"
+        pairs = {
+            "fwd.txt": "src2tgt/phrase_table.txt",
+            "rev.txt": "tgt2src/phrase_table.txt",
+            "tau.txt": "temperatures.txt",
+            "lm_src.txt": "src/lm.txt",
+            "lm_tgt.txt": "tgt/lm.txt",
+            "weights.txt": "src2tgt/weights.txt",
+            "synthetic.txt": "src2tgt/synthetic.target.txt",
+            "links_fwd.txt": "src2tgt/links.forward.txt",
+            "links_rev.txt": "src2tgt/links.reverse.txt",
+            "links.txt": "src2tgt/links.txt",
+            "counts.txt": "src2tgt/extract_counts.txt",
+            "dict.tsv": "src2tgt/dictionary.tsv",
+        }
+        for mine, theirs in pairs.items():
+            assert (out / mine).read_bytes() == (work / theirs).read_bytes(), mine
+
+
+class TestConfigChecks:
+    def test_flags_obey_the_config_range_checks(self, tmp_path, capsys):
+        fx = make_micro_cipher(tmp_path / "data")
+        fwd, rev, lm = tmp_path / "fwd.txt", tmp_path / "rev.txt", tmp_path / "lm.txt"
+        assert run_cli(["phrase-table",
+                        "--src-corpus", str(fx.src_corpus), "--tgt-corpus", str(fx.tgt_corpus),
+                        "--src-emb", str(fx.src_embeddings), "--tgt-emb", str(fx.tgt_embeddings),
+                        "--out-fwd", str(fwd), "--out-rev", str(rev),
+                        "--vocab-size", "25", "--ngram-cap", "300", "--candidates", "10"]) == 0
+        assert run_cli(["train-lm", "--input", str(fx.tgt_corpus), "--out", str(lm)]) == 0
+        weights = tmp_path / "weights.txt"
+        code = run_cli(["tune", "--table", str(fwd), "--rev-table", str(rev),
+                        "--lm", str(lm), "--rev-lm", str(lm),
+                        "--input", str(fx.src_corpus), "--out", str(weights),
+                        "--dev-size", "5", "--sweeps", "1", "--beam", "4", "--options-limit", "4",
+                        "--golden-iterations", "0"])
+        assert code == 1
+        assert "golden_iterations must be >= 1" in capsys.readouterr().err
+        assert not weights.exists()

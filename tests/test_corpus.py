@@ -11,12 +11,11 @@ from lexinduct import (
     corpus_from_sentences,
     count_ngrams,
     load_corpus,
-    merge_ngram_counts,
     sample_sentences,
     tokenize,
     write_corpus,
 )
-from lexinduct.corpus import NGramCounts, write_ngram_counts
+from lexinduct.corpus import NGramCounts
 
 
 class TestTokenize:
@@ -101,32 +100,6 @@ class TestCountNgrams:
             count_ngrams([["a"]], 0)
         with pytest.raises(ValueError):
             NGramCounts(0)
-
-    def test_merge_equals_sequential_count(self):
-        rng = random.Random(11)
-        vocab = ["a", "b", "c", "d"]
-        shards = []
-        for _ in range(4):
-            shards.append([
-                [rng.choice(vocab) for _ in range(rng.randint(1, 6))]
-                for _ in range(rng.randint(1, 10))
-            ])
-        merged = merge_ngram_counts([count_ngrams(s, 3) for s in shards])
-        whole = count_ngrams([s for shard in shards for s in shard], 3)
-        for n in (1, 2, 3):
-            assert merged[n].counts == whole[n].counts
-
-    def test_merge_rejects_mismatched_orders(self):
-        with pytest.raises(ValueError):
-            merge_ngram_counts([count_ngrams([["a"]], 2), count_ngrams([["a"]], 3)])
-        with pytest.raises(ValueError):
-            merge_ngram_counts([])
-
-    def test_write_counts_format(self, tmp_path):
-        counts = count_ngrams([["b", "a", "b"]], 2)
-        path = tmp_path / "grams.tsv"
-        write_ngram_counts(counts[2], path)
-        assert path.read_text(encoding="utf-8") == "a b\t1\nb a\t1\n"
 
 
 class TestVocabulary:

@@ -100,15 +100,6 @@ class TestCountExtractions:
         assert counts.pairs[(("a",), ("x",))] == 2
         assert counts.pairs[(("b",), ("y",))] == 1
 
-    def test_marginals(self):
-        counts = ExtractedCounts(Counter({
-            (("a",), ("x",)): 2,
-            (("a",), ("y",)): 3,
-            (("b",), ("x",)): 4,
-        }))
-        assert counts.src_marginals == Counter({("a",): 5, ("b",): 4})
-        assert counts.tgt_marginals == Counter({("x",): 6, ("y",): 3})
-
     def test_length_mismatch_fatal(self):
         with pytest.raises(ValueError):
             count_extractions([(["a"], ["x"])], [{(0, 0)}, {(0, 0)}])

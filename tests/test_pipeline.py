@@ -1,5 +1,6 @@
 """Pipeline plumbing: config files, stage caching, invalidation, locking."""
 
+import fcntl
 import os
 
 import pytest
@@ -12,7 +13,7 @@ from lexinduct import (
     run_pipeline,
     write_config,
 )
-from lexinduct.pipeline import LOCK_NAME, STAGE_VERSIONS, WORK_DIR_ENV
+from lexinduct.pipeline import LOCK_NAME, STAGE_VERSIONS, WORK_DIR_ENV, _WorkDirLock
 
 
 
@@ -244,9 +245,40 @@ class TestLocking:
         fx = micro(tmp_path / "data")
         work = tmp_path / "work"
         work.mkdir()
+        # A live holder: this test's own descriptor keeps the flock.
+        with open(work / LOCK_NAME, "w") as holder:
+            fcntl.flock(holder, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            with pytest.raises(RuntimeError, match="locked"):
+                run_pipeline(micro_config(fx, work))
+            assert (work / LOCK_NAME).exists()
+
+    def test_leftover_lock_file_without_holder_does_not_block(self, tmp_path):
+        fx = micro(tmp_path / "data")
+        work = tmp_path / "work"
+        work.mkdir()
+        # What a killed run leaves: the file, but no process holding the lock.
         (work / LOCK_NAME).write_text("12345\n", encoding="utf-8")
-        with pytest.raises(RuntimeError, match="locked"):
-            run_pipeline(micro_config(fx, work))
+        assert run_pipeline(micro_config(fx, work)).directions["src2tgt"].p_at_1 is not None
+        assert not (work / LOCK_NAME).exists()
+
+    def test_lock_on_a_file_unlinked_meanwhile_is_taken_again(self, tmp_path, monkeypatch):
+        work = tmp_path / "work"
+        work.mkdir()
+        calls = []
+        real_flock = fcntl.flock
+
+        def flock(fd, operation):
+            calls.append(operation)
+            if len(calls) == 1:
+                # The previous holder removes the file between our open and our lock.
+                (work / LOCK_NAME).unlink()
+            real_flock(fd, operation)
+
+        monkeypatch.setattr(fcntl, "flock", flock)
+        with _WorkDirLock(work) as lock:
+            assert len(calls) == 2
+            assert os.fstat(lock.fd).st_ino == os.stat(work / LOCK_NAME).st_ino
+        assert not (work / LOCK_NAME).exists()
 
     def test_lock_removed_after_success(self, tmp_path):
         fx = micro(tmp_path / "data")
