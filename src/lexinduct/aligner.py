@@ -19,6 +19,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .fileio import atomic_write
+
 NULL_WORD = "<null>"
 
 Link = tuple[int, int]
@@ -269,7 +271,7 @@ def grow_diag_final_and(forward: set[Link], reverse: set[Link]) -> set[Link]:
 
 def write_links(link_sets: Sequence[set[Link]], path) -> None:
     """One sentence per line: space-separated "i-j" pairs, sorted."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for links in link_sets:
             fh.write(" ".join(f"{i}-{j}" for i, j in sorted(links)) + "\n")
 

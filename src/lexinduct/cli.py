@@ -115,7 +115,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 def _cmd_translate(args: argparse.Namespace) -> int:
     config = _config(args)
     count = translate_stage(
-        config, args.table, args.lm, args.weights, _tokenized_corpus(args.input, config), args.out
+        config, args.table, args.lm, args.weights, _tokenized_corpus(args.input, config),
+        args.out, args.out_src,
     )
     log.info("translated %d sentences to %s", count, args.out)
     return 0
@@ -232,6 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", help="weights file (defaults when omitted)")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
+    p.add_argument("--out-src", help="also write the source sentences that were translated")
     p.add_argument("--cap", dest="corpus_cap", type=int, help="max sentences to translate")
     p.add_argument("--beam", type=int)
     p.add_argument("--distortion-limit", type=int)

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .fileio import atomic_write
+
 Sentence = tuple[str, ...]
 NGram = tuple[str, ...]
 
@@ -108,7 +110,7 @@ def load_corpus(path: str | Path, aggressive_hyphens: bool = True, lowercase: bo
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for sent in corpus.sentences:
             fh.write(" ".join(sent) + "\n")
 

@@ -16,7 +16,6 @@ re-decoded monotone, which always completes.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -24,6 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .fileio import atomic_write
 from .lm import EOS, NGramModel
 from .phrases import PhraseTable
 
@@ -66,7 +66,7 @@ class FeatureWeights:
 
     def write(self, path: str | Path) -> None:
         """One "name = value" line per feature."""
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             for name in FEATURE_NAMES:
                 fh.write(f"{name} = {getattr(self, name)!r}\n")
 
@@ -149,13 +149,17 @@ def feature_score(
 
 
 class _Hyp:
-    __slots__ = ("score", "feats", "cov", "ctx", "last_end", "parent", "step")
+    """A partial derivation. `step` is (start, end, option, LM score) of
+    its last phrase; DerivationSteps and the feature vector are built only
+    for the winner, by replaying its steps."""
 
-    def __init__(self, score, feats, cov, ctx, last_end, parent, step):
+    __slots__ = ("score", "cov", "ctx", "state", "last_end", "parent", "step")
+
+    def __init__(self, score, cov, ctx, state, last_end, parent, step):
         self.score = score
-        self.feats = feats
         self.cov = cov
         self.ctx = ctx
+        self.state = state
         self.last_end = last_end
         self.parent = parent
         self.step = step
@@ -174,36 +178,60 @@ def _span_options(
 ):
     """Translation options per source span, ranked by weighted
     translation-model score (ties by target phrase), plus copy-through
-    options wherever a token has no single-word entry."""
+    options wherever a token has no single-word entry. Each option is
+    (target words, log probabilities or None, weighted score)."""
     n = len(sentence)
     max_len = table.max_source_words()
     w4 = (weights.phi_fwd, weights.phi_bwd, weights.lex_fwd, weights.lex_bwd)
     spans = []
     for i in range(n):
         for j in range(i + 1, min(i + max_len, n) + 1):
-            entries = table.options(sentence[i:j])
+            entries = table.log_options(" ".join(sentence[i:j]))
             if not entries:
                 continue
-            ranked = []
-            for e in entries:
-                lp = (
-                    math.log(e.phi_fwd),
-                    math.log(e.phi_bwd),
-                    math.log(e.lex_fwd),
-                    math.log(e.lex_bwd),
-                )
-                tm = w4[0] * lp[0] + w4[1] * lp[1] + w4[2] * lp[2] + w4[3] * lp[3]
-                ranked.append((tm, e.tgt, lp))
+            ranked = [
+                (w4[0] * lp[0] + w4[1] * lp[1] + w4[2] * lp[2] + w4[3] * lp[3], tgt, words, lp)
+                for tgt, words, lp in entries
+            ]
             ranked.sort(key=lambda c: (-c[0], c[1]))
             if options_limit is not None and options_limit > 0:
                 ranked = ranked[:options_limit]
-            spans.append(((i, j), [(tuple(t.split(" ")), lp) for _, t, lp in ranked]))
+            spans.append(((i, j), [(words, lp, tm) for tm, _, words, lp in ranked]))
     have_single = {i for (i, j), _ in spans if j == i + 1}
     for i in range(n):
         if i not in have_single:
-            spans.append(((i, i + 1), [((sentence[i],), None)]))
+            spans.append(((i, i + 1), [((sentence[i],), None, 0.0)]))
     spans.sort(key=lambda s: s[0])
     return spans
+
+
+def _replay(sentence: tuple[str, ...], best: _Hyp) -> DecodeResult:
+    """The winner's derivation and feature vector, summed root first in the
+    order the search added each phrase, so every float is the one the
+    search would have carried."""
+    path = []
+    node = best
+    while node.parent is not None:
+        path.append(node.step)
+        node = node.parent
+    path.reverse()
+    f0 = f1 = f2 = f3 = f4 = f5 = f6 = f7 = 0.0
+    prev_end = -1
+    steps = []
+    for start, end, (tgt, _, lp, _, _), lm_total in path:
+        if lp is not None:
+            f0, f1, f2, f3 = f0 + lp[0], f1 + lp[1], f2 + lp[2], f3 + lp[3]
+        f4 += lm_total
+        f5 -= len(tgt)
+        f6 -= 1.0
+        f7 -= abs(start - prev_end - 1)
+        prev_end = end - 1
+        steps.append(
+            DerivationStep(start, sentence[start:end], tgt, lp or (0.0,) * 4, lp is None)
+        )
+    output = tuple(t for step in steps for t in step.tgt)
+    feats = np.array((f0, f1, f2, f3, f4, f5, f6, f7))
+    return DecodeResult(tuple(steps), output, feats, best.score)
 
 
 def decode(
@@ -215,24 +243,39 @@ def decode(
     distortion_limit: int = DEFAULT_DISTORTION_LIMIT,
     options_limit: int | None = None,
 ) -> DecodeResult:
-    """Best derivation for one sentence. Deterministic for fixed inputs."""
+    """Best derivation for one sentence. Deterministic for fixed inputs.
+
+    Hypotheses recombine on the full (order - 1)-word LM context and carry
+    the LM state next to it; LM scores come from `lm.step`'s memo."""
     if beam < 1:
         raise ValueError(f"beam must be >= 1, got {beam}")
     sentence = tuple(sentence)
     n = len(sentence)
     w = weights
     w_lm, w_word, w_phrase, w_dist = w.lm, w.word_penalty, w.phrase_penalty, w.distortion
-    spans = _span_options(sentence, table, weights, options_limit)
     full = (1 << n) - 1
-
-    init = _Hyp(0.0, (0.0,) * 8, 0, lm.initial_context(), -1, None, None)
+    start_state = lm.initial_state()
     if n == 0:
-        lg = lm.log_cond(EOS, init.ctx)
+        lg = lm.step(start_state, EOS)[0]
         feats = np.zeros(8)
         feats[4] = lg
         return DecodeResult((), (), feats, lg * w_lm)
 
+    # Per span: (start, end, coverage mask, options); per option: (target
+    # words, their LM-normalized form, log probabilities, weighted TM score,
+    # weighted word penalty).
+    spans = [
+        (i, j, ((1 << (j - i)) - 1) << i, [
+            (tgt, tuple(map(lm.normalize_token, tgt)), lp, tm, w_word * len(tgt))
+            for tgt, lp, tm in options
+        ])
+        for (i, j), options in _span_options(sentence, table, weights, options_limit)
+    ]
+    transitions = lm.transitions
+    lm_step = lm.step
+
     stacks: list[dict] = [dict() for _ in range(n + 1)]
+    init = _Hyp(0.0, 0, lm.initial_context(), start_state, -1, None, None)
     stacks[0][(0, init.ctx, -1)] = init
 
     for level in range(n):
@@ -240,85 +283,44 @@ def decode(
             continue
         parents = sorted(stacks[level].values(), key=_sort_key)[:beam]
         for hyp in parents:
-            cov = hyp.cov
+            cov, base, ctx0, state0, last_end = hyp.cov, hyp.score, hyp.ctx, hyp.state, hyp.last_end
             free = ~cov
             leftmost = (free & -free).bit_length() - 1
-            for (i, j), options in spans:
-                mask = ((1 << (j - i)) - 1) << i
+            for i, j, mask, options in spans:
                 if cov & mask:
                     continue
-                jump = abs(i - hyp.last_end - 1)
+                jump = abs(i - last_end - 1)
                 if distortion_limit >= 0 and (
                     jump > distortion_limit or i > leftmost + distortion_limit
                 ):
                     continue
-                for tgt, lp in options:
-                    f = hyp.feats
-                    ctx = hyp.ctx
-                    lm_add = 0.0
+                new_cov = cov | mask
+                complete = new_cov == full
+                bucket = stacks[level + (j - i)]
+                distortion = w_dist * jump
+                for option in options:
+                    tgt, norm, _, tm, word_pen = option
+                    state = state0
+                    lm_total = 0.0
                     for word in tgt:
-                        lm_add += lm.log_cond(word, ctx)
-                        ctx = lm.extend_context(ctx, word)
-                    if lp is None:
-                        tm_add = 0.0
-                        f0, f1, f2, f3 = f[0], f[1], f[2], f[3]
-                    else:
-                        tm_add = (
-                            w.phi_fwd * lp[0]
-                            + w.phi_bwd * lp[1]
-                            + w.lex_fwd * lp[2]
-                            + w.lex_bwd * lp[3]
-                        )
-                        f0, f1, f2, f3 = f[0] + lp[0], f[1] + lp[1], f[2] + lp[2], f[3] + lp[3]
-                    new_cov = cov | mask
-                    lm_total = lm_add
-                    if new_cov == full:
-                        lm_total += lm.log_cond(EOS, ctx)
-                    score = (
-                        hyp.score
-                        + tm_add
-                        + w_lm * lm_total
-                        - w_word * len(tgt)
-                        - w_phrase
-                        - w_dist * jump
-                    )
-                    feats = (
-                        f0,
-                        f1,
-                        f2,
-                        f3,
-                        f[4] + lm_total,
-                        f[5] - len(tgt),
-                        f[6] - 1.0,
-                        f[7] - jump,
-                    )
-                    child = _Hyp(
-                        score,
-                        feats,
-                        new_cov,
-                        ctx,
-                        j - 1,
-                        hyp,
-                        DerivationStep(i, sentence[i:j], tgt, lp or (0.0,) * 4, lp is None),
-                    )
+                        hit = transitions[state].get(word) or lm_step(state, word)
+                        lm_total += hit[0]
+                        state = hit[1]
+                    if complete:
+                        lm_total += (transitions[state].get(EOS) or lm_step(state, EOS))[0]
+                    score = base + tm + w_lm * lm_total - word_pen - w_phrase - distortion
+                    ctx = (ctx0 + norm)[len(norm) :]
                     key = (new_cov, ctx, j - 1)
-                    bucket = stacks[level + (j - i)]
                     old = bucket.get(key)
-                    if old is None or child.score > old.score:
-                        bucket[key] = child
+                    if old is None or score > old.score:
+                        bucket[key] = _Hyp(
+                            score, new_cov, ctx, state, j - 1, hyp, (i, j, option, lm_total)
+                        )
     if not stacks[n]:
         if distortion_limit != 0:
             return decode(sentence, table, lm, weights, beam, 0, options_limit)
         raise RuntimeError("monotone decoding failed to complete (unreachable)")
-    best = min(stacks[n].values(), key=_sort_key)
-    steps: list[DerivationStep] = []
-    node = best
-    while node.parent is not None:
-        steps.append(node.step)
-        node = node.parent
-    steps.reverse()
-    output = tuple(t for s in steps for t in s.tgt)
-    return DecodeResult(tuple(steps), output, np.array(best.feats), best.score)
+    return _replay(sentence, min(stacks[n].values(), key=_sort_key))
 
 
 def translate(
@@ -337,8 +339,9 @@ def translate(
 class TranslationSystem:
     """A decoder configuration bound to one direction's models.
 
-    Caches whole-sentence translations (safe: decoding is pure), which pays
-    off when tuning repeatedly re-translates similar inputs.
+    `translate` caches whole-sentence translations (safe: decoding is
+    pure), which pays off when tuning repeatedly re-translates the same
+    inputs; `output` decodes without caching, for one pass over a corpus.
     """
 
     table: PhraseTable
@@ -358,12 +361,14 @@ class TranslationSystem:
         key = tuple(sentence)
         hit = self._cache.get(key)
         if hit is None:
-            hit = decode(
-                key, self.table, self.lm, self.weights, self.beam,
-                self.distortion_limit, self.options_limit,
-            ).output
-            self._cache[key] = hit
+            hit = self._cache[key] = self.output(key)
         return hit
+
+    def output(self, sentence: Sequence[str]) -> tuple[str, ...]:
+        return decode(
+            sentence, self.table, self.lm, self.weights, self.beam,
+            self.distortion_limit, self.options_limit,
+        ).output
 
 
 _POOL_SYSTEM: TranslationSystem | None = None
@@ -376,7 +381,7 @@ def _pool_init(system: TranslationSystem) -> None:
 
 def _pool_translate(sentence: tuple[str, ...]) -> tuple[str, ...]:
     assert _POOL_SYSTEM is not None
-    return _POOL_SYSTEM.translate(sentence)
+    return _POOL_SYSTEM.output(sentence)
 
 
 def translate_corpus(
@@ -388,7 +393,8 @@ def translate_corpus(
     """Translate the first `cap` sentences into (source, output) pairs.
 
     workers > 1 fans sentences out over processes; outputs are reassembled
-    in order, so results are identical for every worker count.
+    in order, so results are identical for every worker count. Nothing is
+    added to the system's translation cache.
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
@@ -398,7 +404,7 @@ def translate_corpus(
             break
         todo.append(tuple(sent))
     if workers <= 1 or len(todo) < 2:
-        return [(s, system.translate(s)) for s in todo]
+        return [(s, system.output(s)) for s in todo]
     ctx = multiprocessing.get_context("fork")
     chunk = max(1, len(todo) // (workers * 4))
     with ctx.Pool(workers, initializer=_pool_init, initargs=(system,)) as pool:

@@ -17,6 +17,8 @@ from typing import IO, Iterable
 
 import numpy as np
 
+from .fileio import atomic_write
+
 log = logging.getLogger(__name__)
 
 CACHE_VERSION = 1
@@ -159,7 +161,7 @@ def _parse_embeddings(fh: IO[str], name: str) -> EmbeddingStore:
 
 def write_embeddings(store: EmbeddingStore, path: str | Path) -> None:
     """Inverse of load_embeddings (float32 values printed via repr)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"{len(store.vocab)} {store.dim}\n")
         for tok, row in zip(store.vocab, store.vectors):
             fh.write(tok + " " + " ".join(repr(float(v)) for v in row) + "\n")
@@ -168,13 +170,14 @@ def write_embeddings(store: EmbeddingStore, path: str | Path) -> None:
 def save_cache(store: EmbeddingStore, path: str | Path) -> None:
     """Binary cache: an .npz with a version stamp, the vocab, the float32
     matrix, and the normalized flag. Loadable only by load_cache."""
-    np.savez(
-        path,
-        version=np.int64(CACHE_VERSION),
-        vocab=np.array(store.vocab, dtype=np.str_),
-        vectors=store.vectors,
-        normalized=np.bool_(store.normalized),
-    )
+    with atomic_write(path, binary=True) as fh:
+        np.savez(
+            fh,
+            version=np.int64(CACHE_VERSION),
+            vocab=np.array(store.vocab, dtype=np.str_),
+            vectors=store.vectors,
+            normalized=np.bool_(store.normalized),
+        )
 
 
 def load_cache(path: str | Path) -> EmbeddingStore:

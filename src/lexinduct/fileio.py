@@ -1,0 +1,36 @@
+"""Crash-safe output files.
+
+Every file the pipeline writes goes through `atomic_write`: the content is
+written to a temporary file in the same directory and renamed over the
+target only once it is complete, so a failed or killed writer never leaves
+a truncated output behind.
+"""
+
+from __future__ import annotations
+
+import os
+from contextlib import contextmanager
+from pathlib import Path
+from typing import IO, Iterator
+
+
+@contextmanager
+def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """Open a temporary sibling of `path` for writing (UTF-8 text unless
+    `binary`) and `os.replace` it over `path` when the block ends cleanly.
+    If the block raises, the temporary file is removed and `path` is left
+    as it was. A path that exists but is not a regular file (a pipe or a
+    terminal) is written in place."""
+    path = Path(os.path.realpath(path))
+    if path.exists() and not path.is_file():
+        with open(path, "wb" if binary else "w", encoding=None if binary else "utf-8") as fh:
+            yield fh
+        return
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb" if binary else "w", encoding=None if binary else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

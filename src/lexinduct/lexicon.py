@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .fileio import atomic_write
+
 Phrase = tuple[str, ...]
 Link = tuple[int, int]
 
@@ -45,7 +47,7 @@ class InducedDictionary:
         Default: "src<TAB>tgt<TAB>score" lines. top1_only emits the
         two-column "src tgt" exchange format instead (one line per source).
         """
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             for src in sorted(self.entries):
                 cands = self.entries[src]
                 if not cands:
@@ -146,7 +148,7 @@ def write_extracted_counts(counts: ExtractedCounts, path: str | Path) -> None:
     their own tokens, so a space-joined phrase can never contain the
     delimiter.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for (src, tgt), c in sorted(counts.pairs.items()):
             fh.write(f"{' '.join(src)} ||| {' '.join(tgt)} ||| {c}\n")
 

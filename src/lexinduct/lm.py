@@ -14,11 +14,15 @@ vocab + {end, unk} sum to one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
+
+from .fileio import atomic_write
 
 BOS = "<s>"
 EOS = "</s>"
@@ -39,6 +43,14 @@ class NGramModel:
     observed context to its log backoff weight. An n-gram absent at one
     order scores as backoff(context) + score at the next-shorter context,
     bottoming out at log_unseen for unseen unigrams.
+
+    Scoring goes through `step`, a KenLM-style state transition (Heafield
+    2011). A state stands for the longest suffix of the context that is a
+    prefix of a logprob key or of a backoff key (the set is prefix-closed),
+    since a longer context adds only zero backoffs to any score. States are
+    small ints; `transitions[state]` memoises `step` per vocabulary word as
+    (log p(word | state), next state), so the memo is bounded by the model,
+    not by how much text was scored. Both are filled lazily on first use.
     """
 
     order: int
@@ -47,7 +59,11 @@ class NGramModel:
     backoff: dict[NGram, float]
     log_unseen: float
     vocab: tuple[str, ...] = field(default=())
-    _cache: dict[NGram, float] = field(default_factory=dict, repr=False)
+    transitions: list[dict[str, tuple[float, int]]] = field(
+        default_factory=list, repr=False, compare=False
+    )
+    _grams: list[NGram] = field(default_factory=list, repr=False, compare=False)
+    _ids: dict[NGram, int] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.vocab:
@@ -60,58 +76,98 @@ class NGramModel:
         """Map out-of-vocabulary tokens to the unknown symbol."""
         return token if (token,) in self.logprob else UNK
 
-    def _cond(self, word: str, context: NGram) -> float:
-        key = context + (word,)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        if key in self.logprob:
-            value = self.logprob[key]
-        elif not context:
-            value = self.log_unseen
-        else:
-            value = self.backoff.get(context, 0.0) + self._cond(word, context[1:])
-        self._cache[key] = value
-        return value
+    @cached_property
+    def _contexts(self) -> frozenset[NGram]:
+        """The prefix-closed set of contexts that can change a score."""
+        closed = {()}
+        for gram in itertools.chain(self.backoff, (g[:-1] for g in self.logprob)):
+            while gram not in closed:
+                closed.add(gram)
+                gram = gram[:-1]
+        return frozenset(closed)
+
+    def _state(self, context: NGram) -> int:
+        """The state of a context of at most order - 1 tokens."""
+        contexts = self._contexts
+        while context not in contexts:
+            context = context[1:]
+        state = self._ids.get(context)
+        if state is None:
+            state = self._ids[context] = len(self._grams)
+            self._grams.append(context)
+            self.transitions.append({})
+        return state
+
+    def _transition(self, state: int, word: str) -> tuple[float, int]:
+        """`step` for a normalized word. The score is the longest observed
+        n-gram's log probability plus the backoffs of the longer contexts,
+        added right-nested (innermost first) like the ARPA recursion."""
+        context = self._grams[state]
+        backoffs = []
+        rest = context
+        while True:
+            value = self.logprob.get(rest + (word,))
+            if value is not None:
+                break
+            if not rest:
+                value = self.log_unseen
+                break
+            backoffs.append(self.backoff.get(rest, 0.0))
+            rest = rest[1:]
+        for weight in reversed(backoffs):
+            value = weight + value
+        keep = self.order - 1
+        shifted = (context + (word,))[max(0, len(context) + 1 - keep) :] if keep else ()
+        return value, self._state(shifted)
+
+    def initial_state(self) -> int:
+        """The begin-of-sentence state."""
+        return self._state(self.initial_context())
+
+    def step(self, state: int, word: str) -> tuple[float, int]:
+        """(log p(word | state), the state after word); word is
+        vocabulary-normalized here."""
+        row = self.transitions[state]
+        hit = row.get(word)
+        if hit is None:
+            word = self.normalize_token(word)
+            hit = row.get(word)
+            if hit is None:
+                hit = row[word] = self._transition(state, word)
+        return hit
 
     def log_cond(self, word: str, context: Sequence[str]) -> float:
         """log p(word | context); context is the preceding tokens, already
         begin-padded by the caller (log_prob does this for you)."""
         ctx = tuple(context)[max(0, len(context) - (self.order - 1)) :] if self.order > 1 else ()
-        return self._cond(self.normalize_token(word), ctx)
+        return self.step(self._state(ctx), word)[0]
 
     def initial_context(self) -> NGram:
-        """The begin-of-sentence context for incremental scoring."""
+        """The begin-of-sentence context: order - 1 begin symbols."""
         return (BOS,) * (self.order - 1)
 
     def extend_context(self, context: NGram, word: str) -> NGram:
-        """Shift `word` (vocabulary-normalized) into an incremental context."""
+        """Shift `word` (vocabulary-normalized) into a log_cond context."""
         if self.order == 1:
             return ()
         return (context + (self.normalize_token(word),))[1:]
 
-    def _context_of(self, prefix: Sequence[str]) -> NGram:
-        if self.order == 1:
-            return ()
-        padded = (BOS,) * (self.order - 1) + tuple(self.normalize_token(t) for t in prefix)
-        return padded[len(padded) - (self.order - 1) :]
-
     def log_prob(self, sentence: Sequence[str]) -> float:
         """Natural-log probability of the sentence including the end symbol."""
         total = 0.0
-        ctx = self._context_of(())
+        state = self.initial_state()
         for token in sentence:
-            w = self.normalize_token(token)
-            total += self._cond(w, ctx)
-            if self.order > 1:
-                ctx = (ctx + (w,))[1:]
-        return total + self._cond(EOS, ctx)
+            value, state = self.step(state, token)
+            total += value
+        return total + self.step(state, EOS)[0]
 
     def next_word_distribution(self, prefix: Sequence[str]) -> dict[str, float]:
         """p(word | sentence prefix) for every vocabulary word (unk and the
         end symbol included). Sums to one up to float rounding."""
-        ctx = self._context_of(prefix)
-        return {w: math.exp(self._cond(w, ctx)) for w in self.vocab}
+        state = self.initial_state()
+        for token in prefix:
+            state = self.step(state, token)[1]
+        return {w: math.exp(self.step(state, w)[0]) for w in self.vocab}
 
 
 def train_lm(corpus: Iterable[Sequence[str]], order: int = 5, discount: float = 0.75) -> NGramModel:
@@ -165,12 +221,23 @@ def train_lm(corpus: Iterable[Sequence[str]], order: int = 5, discount: float = 
         logprob[(w,)] = math.log((c - discount) / cc_total + base_bow * uniform)
 
     def lower_prob(word: str, context: NGram) -> float:
-        key = context + (word,)
-        if key in logprob:
-            return math.exp(logprob[key])
-        if not context:
-            return math.exp(log_unseen)
-        return math.exp(backoff.get(context, 0.0)) * lower_prob(word, context[1:])
+        # A loop, not a recursive closure: a closure that calls itself is a
+        # reference cycle and would keep these tables alive after training
+        # until the next full garbage collection.
+        weights = []
+        while True:
+            key = context + (word,)
+            if key in logprob:
+                value = math.exp(logprob[key])
+                break
+            if not context:
+                value = math.exp(log_unseen)
+                break
+            weights.append(math.exp(backoff.get(context, 0.0)))
+            context = context[1:]
+        for weight in reversed(weights):
+            value = weight * value
+        return value
 
     for k in range(2, order + 1):
         counts = adjusted[k]
@@ -222,7 +289,7 @@ def save_lm(model: NGramModel, path: str | Path) -> None:
     round-trip to 9 decimal places.
     """
     keys = sorted(set(model.logprob) | set(model.backoff), key=lambda g: (len(g), g))
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"{FORMAT_TAG} {FORMAT_VERSION}\n")
         fh.write(f"order {model.order}\n")
         fh.write(f"discount {model.discount!r}\n")

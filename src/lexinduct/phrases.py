@@ -37,6 +37,7 @@ import numpy as np
 
 from .corpus import NGramCounts, build_vocabulary
 from .embeddings import EmbeddingStore, Neighbors, ScoredCandidates, k_nearest, unit_normalize
+from .fileio import atomic_write
 
 log = logging.getLogger(__name__)
 
@@ -346,6 +347,8 @@ def lexical_weight(
 
 
 _PROB_FIELDS = ("phi_fwd", "phi_bwd", "lex_fwd", "lex_bwd")
+# A PhraseTable row: target phrase and its four probabilities.
+_Row = tuple[str, float, float, float, float]
 # One table line, shared by both table writers so that their bytes agree.
 _TABLE_LINE = "%s ||| %s ||| %.6g %.6g %.6g %.6g\n"
 
@@ -366,30 +369,78 @@ class PhraseTableEntry:
                 raise ValueError(f"{name}={value} outside (0, 1] for {self.src!r}")
 
 
-@dataclass
 class PhraseTable:
-    """Candidate target phrases per source phrase, best phi_fwd first."""
+    """Candidate target phrases per source phrase, best phi_fwd first.
 
-    entries: dict[str, tuple[PhraseTableEntry, ...]]
-    _max_src: int | None = None
+    Held as rows, (tgt, phi_fwd, phi_bwd, lex_fwd, lex_bwd) per entry, or
+    as the PhraseTableEntry mapping it was built from; each form is built
+    from the other on first access. `log_options` is the decoder's view of
+    one source phrase, built once per phrase (tables are immutable once
+    decoded from).
+    """
+
+    def __init__(self, entries: dict[str, Sequence[PhraseTableEntry]]):
+        self.entries = entries
+        self._max_src: int | None = None
+        self._log_options: dict[str, tuple] = {}
+
+    @classmethod
+    def _of_rows(cls, rows: dict[str, list[_Row]]) -> "PhraseTable":
+        table = cls.__new__(cls)
+        table._rows = rows
+        table._max_src = None
+        table._log_options = {}
+        return table
+
+    @cached_property
+    def entries(self) -> dict[str, tuple[PhraseTableEntry, ...]]:
+        return {
+            src: tuple(PhraseTableEntry(src, *row) for row in rows)
+            for src, rows in self._rows.items()
+        }
+
+    @cached_property
+    def _rows(self) -> dict[str, list[_Row]]:
+        return {
+            src: [(e.tgt, e.phi_fwd, e.phi_bwd, e.lex_fwd, e.lex_bwd) for e in entries]
+            for src, entries in self.entries.items()
+        }
 
     def __len__(self) -> int:
-        return sum(len(v) for v in self.entries.values())
+        return sum(len(v) for v in self._rows.values())
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, PhraseTable) and self._rows == other._rows
 
     def options(self, phrase: Sequence[str]) -> tuple[PhraseTableEntry, ...]:
         return self.entries.get(" ".join(phrase), ())
 
+    def log_options(self, src: str) -> tuple[tuple[str, tuple[str, ...], tuple[float, ...]], ...]:
+        """(target phrase, its words, log phi_fwd, phi_bwd, lex_fwd, lex_bwd)
+        per entry of source phrase `src`, in table order."""
+        hit = self._log_options.get(src)
+        if hit is None:
+            rows = self._rows.get(src)
+            if rows is None:
+                return ()
+            log = math.log
+            hit = self._log_options[src] = tuple(
+                (tgt, tuple(tgt.split(" ")), (log(pf), log(pb), log(lf), log(lb)))
+                for tgt, pf, pb, lf, lb in rows
+            )
+        return hit
+
     def max_source_words(self) -> int:
         """Longest source phrase, in words (tables are immutable once built)."""
         if self._max_src is None:
-            self._max_src = max((k.count(" ") + 1 for k in self.entries), default=1)
+            self._max_src = max((k.count(" ") + 1 for k in self._rows), default=1)
         return self._max_src
 
     def write(self, path: str | Path) -> None:
         """One "src ||| tgt ||| phi_fwd phi_bwd lex_fwd lex_bwd" line per
         entry, sources sorted, entries by descending phi_fwd; probabilities
         carry 6 significant digits and round-trip bit-exactly."""
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             for src in sorted(self.entries):
                 for e in self.entries[src]:
                     fh.write(
@@ -398,25 +449,36 @@ class PhraseTable:
 
     @classmethod
     def read(cls, path: str | Path) -> "PhraseTable":
-        entries: dict[str, list[PhraseTableEntry]] = {}
+        """Parse a table written by `write`; every probability must lie in
+        (0, 1]. Errors name the file and line."""
+        rows: dict[str, list[_Row]] = {}
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                parts = line.rstrip("\n").split(" ||| ")
+                parts = line.split(" ||| ")
                 if len(parts) != 3:
+                    if not line.strip():
+                        continue
                     raise ValueError(f"{path}: line {lineno}: expected 3 '|||' fields")
-                values = parts[2].split()
-                if len(values) != 4:
+                src, tgt, values = parts
+                probs = values.split()
+                if len(probs) != 4:
                     raise ValueError(f"{path}: line {lineno}: expected 4 probabilities")
                 try:
-                    phi_f, phi_b, lex_f, lex_b = (float(v) for v in values)
+                    pf, pb, lf, lb = map(float, probs)
                 except ValueError:
                     raise ValueError(f"{path}: line {lineno}: non-numeric probability") from None
-                entries.setdefault(parts[0], []).append(
-                    PhraseTableEntry(parts[0], parts[1], phi_f, phi_b, lex_f, lex_b)
-                )
-        return cls({s: tuple(v) for s, v in entries.items()})
+                if not (0.0 < pf <= 1.0 and 0.0 < pb <= 1.0
+                        and 0.0 < lf <= 1.0 and 0.0 < lb <= 1.0):
+                    for name, value in zip(_PROB_FIELDS, (pf, pb, lf, lb)):
+                        if not 0.0 < value <= 1.0:
+                            raise ValueError(
+                                f"{path}: line {lineno}: {name}={value} outside (0, 1] for {src!r}"
+                            )
+                row = rows.get(src)
+                if row is None:
+                    row = rows[src] = []
+                row.append((tgt, pf, pb, lf, lb))
+        return cls._of_rows(rows)
 
 
 def build_phrase_table(
@@ -578,7 +640,7 @@ class InducedTable:
         of source phrases at a time."""
         order = sorted(range(len(self.src)), key=self.src.__getitem__)
         k = self.idx.shape[1]
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             for start in range(0, len(order), _ROW_BLOCK):
                 rows = order[start : start + _ROW_BLOCK]
                 srcs = [self.src[i] for i in rows for _ in range(k)]

@@ -44,6 +44,7 @@ from .corpus import Corpus, count_ngrams, load_corpus, sample_sentences, write_c
 from .decoder import FeatureWeights, TranslationSystem, translate_corpus
 from .embeddings import EmbeddingStore, load_cache, load_embeddings, save_cache, unit_normalize
 from .evaluation import read_gold, precision_at_1
+from .fileio import atomic_write
 from .lexicon import (
     InducedDictionary,
     count_extractions,
@@ -263,7 +264,8 @@ def write_config(config: PipelineConfig, path: str | Path) -> None:
             if sec == section:
                 lines.append(f"{opt} = {_format_value(getattr(config, field), kind)}")
         lines.append("")
-    Path(path).write_text("\n".join(lines), encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write("\n".join(lines))
 
 
 def read_config(path: str | Path) -> PipelineConfig:
@@ -383,7 +385,8 @@ class _Runner:
             "digest": digest,
             "outputs": {str(o): _sha256_file(o) for o in outputs},
         }
-        manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=1), encoding="utf-8")
+        with atomic_write(manifest_path) as fh:
+            fh.write(json.dumps(manifest, sort_keys=True, indent=1))
         self.records.append(StageRecord(name, digest, cached=False))
         return True
 
@@ -465,7 +468,7 @@ def _read_tokenized(path: Path) -> Corpus:
 
 
 def _write_inventory(inventory: PhraseInventory, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for phrase in sorted(inventory.phrases):
             fh.write(" ".join(phrase) + "\t" + str(inventory.phrases[phrase]) + "\n")
 
@@ -484,7 +487,7 @@ def _read_inventory(path: Path) -> PhraseInventory:
 
 
 def _write_lines(sentences, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for sentence in sentences:
             fh.write(" ".join(sentence) + "\n")
 
@@ -533,10 +536,8 @@ def tables_stage(
     induced.table_fwd.write(out_fwd)
     induced.table_rev.write(out_rev)
     if out_tau:
-        Path(out_tau).write_text(
-            f"src2tgt {induced.tau_fwd.tau!r}\ntgt2src {induced.tau_rev.tau!r}\n",
-            encoding="utf-8",
-        )
+        with atomic_write(out_tau) as fh:
+            fh.write(f"src2tgt {induced.tau_fwd.tau!r}\ntgt2src {induced.tau_rev.tau!r}\n")
     return induced
 
 
@@ -763,7 +764,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
                 def evaluate_stage(pred=dict_path, gold=Path(gold_path), out=report_path):
                     score, oov = precision_at_1(InducedDictionary.read(pred), read_gold(gold))
-                    out.write_text(f"P@1 {score:.6f} OOV {oov:.6f}\n", encoding="utf-8")
+                    with atomic_write(out) as fh:
+                        fh.write(f"P@1 {score:.6f} OOV {oov:.6f}\n")
 
                 runner.run(
                     f"evaluate:{direction}", [dict_path, Path(gold_path)], [report_path], evaluate_stage

@@ -274,6 +274,31 @@ class TestStageChain:
                         "--cap", "3", "--beam", "4", "--workers", "1"]) == 0
         assert len(out.read_text(encoding="utf-8").splitlines()) == 3
 
+    def test_capped_translation_with_its_source_side_aligns(self, tmp_path):
+        fx = make_micro_cipher(tmp_path / "data")
+        fwd, rev = tmp_path / "fwd.txt", tmp_path / "rev.txt"
+        assert run_cli(["phrase-table",
+                        "--src-corpus", str(fx.src_corpus),
+                        "--tgt-corpus", str(fx.tgt_corpus),
+                        "--src-emb", str(fx.src_embeddings),
+                        "--tgt-emb", str(fx.tgt_embeddings),
+                        "--out-fwd", str(fwd), "--out-rev", str(rev),
+                        "--vocab-size", "25", "--ngram-cap", "300",
+                        "--candidates", "10"]) == 0
+        lm = tmp_path / "lm.txt"
+        assert run_cli(["train-lm", "--input", str(fx.tgt_corpus), "--out", str(lm)]) == 0
+        out, out_src = tmp_path / "syn.txt", tmp_path / "syn.src.txt"
+        assert run_cli(["translate", "--table", str(fwd), "--lm", str(lm),
+                        "--input", str(fx.src_corpus), "--out", str(out),
+                        "--out-src", str(out_src),
+                        "--cap", "3", "--beam", "4", "--workers", "1"]) == 0
+        first = fx.src_corpus.read_text(encoding="utf-8").splitlines()[:3]
+        assert out_src.read_text(encoding="utf-8").splitlines() == first
+        links = tmp_path / "links.txt"
+        assert run_cli(["align", "--src", str(out_src), "--tgt", str(out),
+                        "--out-sym", str(links)]) == 0
+        assert len(read_links(links)) == 3
+
 
 class TestPipelineCommand:
     def test_success_prints_one_line_per_direction(self, tmp_path, capsys):

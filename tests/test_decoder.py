@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import make_micro_cipher, micro_config
 from lexinduct import (
     DecodeResult,
     DerivationStep,
@@ -16,6 +17,10 @@ from lexinduct import (
     TranslationSystem,
     decode,
     feature_score,
+    load_corpus,
+    load_lm,
+    run_pipeline,
+    sample_sentences,
     train_lm,
     translate,
     translate_corpus,
@@ -310,9 +315,37 @@ class TestTranslationSystem:
         assert serial == parallel
         assert [s for s, _ in serial] == [tuple(s) for s in sents]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_translate_corpus_leaves_the_cache_empty(self, workers):
+        system = self.make_system()
+        sents = [["a"], ["b", "a"], ["a", "b"], ["b"]] * 3
+        pairs = translate_corpus(sents, system, workers=workers)
+        assert system._cache == {}
+        assert [out for _, out in pairs] == [system.translate(s) for s in sents]
+
     def test_translate_corpus_cap(self):
         system = self.make_system()
         assert len(translate_corpus([["a"]] * 10, system, cap=4)) == 4
         assert translate_corpus([["a"]] * 10, system, cap=0) == []
         with pytest.raises(ValueError):
             translate_corpus([["a"]], system, cap=-1)
+
+
+class TestLanguageModelMemo:
+    def test_second_pass_with_fresh_systems_adds_no_memo_entries(self, tmp_path):
+        fx = make_micro_cipher(tmp_path / "data")
+        config = micro_config(fx, tmp_path / "work")
+        run_pipeline(config)
+        work = tmp_path / "work"
+        lm = load_lm(work / "tgt" / "lm.txt")
+        dev = sample_sentences(load_corpus(fx.src_corpus), config.dev_size, config.dev_seed)
+
+        def fresh_system():
+            table = PhraseTable.read(work / "src2tgt" / "phrase_table.txt")
+            return TranslationSystem(table, lm, beam=config.beam, options_limit=config.options_limit)
+
+        first = [fresh_system().translate(s) for s in dev.sentences]
+        size = sum(len(row) for row in lm.transitions)
+        assert size > 0
+        assert [fresh_system().translate(s) for s in dev.sentences] == first
+        assert sum(len(row) for row in lm.transitions) == size

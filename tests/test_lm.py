@@ -1,5 +1,6 @@
 """Kneser-Ney language model: hand values, normalization, invariances, IO."""
 
+import gc
 import math
 import random
 
@@ -142,6 +143,20 @@ class TestVocabulary:
         assert BOS not in model.vocab
 
 
+class TestTrainingMemory:
+    def test_training_leaves_no_reference_cycle(self):
+        # A cycle would keep the model's tables alive after the model is
+        # dropped, until the next full garbage collection.
+        gc.collect()
+        gc.disable()
+        try:
+            model = train_lm(chain_corpus(10, seed=2), order=3)
+            del model
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestTrainingErrors:
     def test_reserved_tokens_rejected(self):
         for bad in (BOS, EOS, UNK):
@@ -207,3 +222,111 @@ def test_direct_model_construction_backs_off():
         model.log_cond("a", ["a"]), math.log(0.5) + math.log(0.6), atol=1e-12
     )
     assert model.vocab == (UNK, "a")
+
+
+def arpa_cond(model, word, context):
+    """Reference for `step`: the ARPA backoff recursion on string contexts,
+    log p(word | context) with backoffs added right-nested."""
+    key = context + (word,)
+    if key in model.logprob:
+        return model.logprob[key]
+    if not context:
+        return model.log_unseen
+    return model.backoff.get(context, 0.0) + arpa_cond(model, word, context[1:])
+
+
+def hand_built_models():
+    """The hand-built models of the test suite, plus one whose contexts are
+    not closed under suffixes and one that conditions on <unk>."""
+    direct = NGramModel(
+        order=2,
+        discount=0.75,
+        logprob={("a",): math.log(0.6), (UNK,): math.log(0.1)},
+        backoff={("a",): math.log(0.5)},
+        log_unseen=math.log(0.1),
+    )
+    uniform = NGramModel(
+        order=1, discount=0.5, logprob={}, backoff={}, log_unseen=math.log(1.0 / 16)
+    )
+    gapped = NGramModel(
+        order=3,
+        discount=0.75,
+        logprob={
+            ("a",): math.log(0.3), ("b",): math.log(0.2), ("c",): math.log(0.1),
+            (EOS,): math.log(0.2), (UNK,): math.log(0.05),
+            ("c", "a", "b"): math.log(0.7), (UNK, "a"): math.log(0.4),
+        },
+        backoff={("a", "b"): math.log(0.45), ("c",): math.log(0.8)},
+        log_unseen=math.log(0.01),
+    )
+    return [direct, uniform, gapped]
+
+
+def assert_steps_match_the_recursion(model, sentence):
+    """Chain `step` over the sentence and its end symbol; every score must
+    equal the string recursion and log_cond exactly, the sum log_prob."""
+    state = model.initial_state()
+    context = model.initial_context()
+    total = 0.0
+    for token in list(sentence) + [EOS]:
+        value, state = model.step(state, token)
+        assert value == arpa_cond(model, model.normalize_token(token), context)
+        assert value == model.log_cond(token, context)
+        total += value
+        context = model.extend_context(context, token)
+    assert total == model.log_prob(sentence)
+
+
+class TestStep:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_chained_steps_equal_log_prob_and_the_recursion(self, order):
+        corpus = chain_corpus(40, seed=20 + order)
+        model = train_lm(corpus, order=order, discount=0.75)
+        rng = random.Random(order)
+        flat = [w for s in corpus for w in s]
+        for _ in range(40):
+            sentence = [rng.choice(flat + ["oov-a", "oov-b"]) for _ in range(rng.randint(0, 9))]
+            assert_steps_match_the_recursion(model, sentence)
+        for sentence in corpus[:10]:
+            assert_steps_match_the_recursion(model, sentence)
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_hand_built_models(self, index):
+        model = hand_built_models()[index]
+        for sentence in (
+            [], ["a"], ["a", "a"], ["c", "a", "b", "a", "b"], ["zz", "a", "b", "c"],
+            ["b", "zz", "a"], ["c", "a", "b", "c", "a", "b", "zz"],
+        ):
+            assert_steps_match_the_recursion(model, sentence)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 5])
+    def test_raw_and_all_begin_contexts(self, order):
+        model = train_lm(chain_corpus(30, seed=order), order=order)
+        for model in [model] + hand_built_models():
+            k = model.order - 1
+            for context in ((BOS,) * k, (BOS,) * 4, ("w1", "oov", "w3"), (BOS, "w3", UNK), ()):
+                ctx = context[max(0, len(context) - k):] if k else ()
+                for word in model.vocab + ("oov", BOS):
+                    want = arpa_cond(model, model.normalize_token(word), ctx)
+                    assert model.log_cond(word, context) == want
+
+    def test_next_word_distribution_is_built_on_step(self):
+        model = train_lm(chain_corpus(30, seed=3), order=3)
+        prefix = ["w1", "oov", "w4"]
+        context = (model.normalize_token("oov"), "w4")
+        dist = model.next_word_distribution(prefix)
+        assert dist == {w: math.exp(arpa_cond(model, w, context)) for w in model.vocab}
+
+    def test_memo_is_bounded_by_the_model(self):
+        corpus = chain_corpus(60, seed=11)
+        model = train_lm(corpus, order=4)
+        rng = random.Random(12)
+        flat = [w for s in corpus for w in s]
+        sentences = [[rng.choice(flat + ["oov"]) for _ in range(rng.randint(1, 9))] for _ in range(200)]
+        first = [model.log_prob(s) for s in sentences]
+        size = sum(len(row) for row in model.transitions)
+        assert [model.log_prob(s) for s in sentences] == first
+        assert sum(len(row) for row in model.transitions) == size
+        # Rows are keyed by states (model contexts) and vocabulary words only.
+        assert len(model.transitions) <= len(model._contexts)
+        assert all(set(row) <= set(model.vocab) for row in model.transitions)

@@ -287,6 +287,40 @@ class TestPhraseTable:
         PhraseTable.read(p1).write(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_read_gives_entries_and_the_decoder_view(self, tmp_path):
+        entries = {
+            "a": (self.entry(tgt="x", phi_fwd=0.75), self.entry(tgt="y z", phi_fwd=0.25)),
+            "b c": (self.entry(src="b c", tgt="w", lex_bwd=1.0),),
+        }
+        path = tmp_path / "t.txt"
+        PhraseTable(entries).write(path)
+        table = PhraseTable.read(path)
+        assert table == PhraseTable(entries)
+        assert table.entries == entries
+        assert table.options(["b", "c"]) == entries["b c"]
+        assert len(table) == 3 and table.max_source_words() == 2
+        fields = ("phi_fwd", "phi_bwd", "lex_fwd", "lex_bwd")
+        assert table.log_options("a") == tuple(
+            (e.tgt, tuple(e.tgt.split(" ")), tuple(math.log(getattr(e, f)) for f in fields))
+            for e in entries["a"]
+        )
+        assert table.log_options("nope") == ()
+
+    @pytest.mark.parametrize("line, message", [
+        ("a ||| x\n", "expected 3 '|||' fields"),
+        ("a ||| x ||| 0.5 0.5 0.5\n", "expected 4 probabilities"),
+        ("a ||| x ||| 0.5 abc 0.5 0.5\n", "non-numeric probability"),
+        ("a ||| x ||| 0.5 0.5 1.5 0.5\n", "lex_fwd=1.5 outside (0, 1] for 'a'"),
+        ("a ||| x ||| 0 0.5 0.5 0.5\n", "phi_fwd=0.0 outside (0, 1] for 'a'"),
+        ("a ||| x ||| 0.5 nan 0.5 0.5\n", "phi_bwd=nan outside (0, 1] for 'a'"),
+    ])
+    def test_read_errors_name_the_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "t.txt"
+        path.write_text("b ||| y ||| 0.5 0.5 0.5 0.5\n\n" + line, encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            PhraseTable.read(path)
+        assert str(info.value) == f"{path}: line 3: {message}"
+
 
 class TestBuildPhraseTable:
     def test_probabilities_and_fallbacks(self):
