@@ -35,8 +35,6 @@ from .decoder import (
     FeatureWeights,
     TranslationSystem,
     decode,
-    feature_score,
-    translate,
     translate_corpus,
 )
 from .embeddings import (
@@ -69,16 +67,9 @@ from .phrases import (
     TemperatureParam,
     build_phrase_inventory,
     build_phrase_store,
-    build_phrase_table,
-    candidate_sets,
-    estimate_temperature,
     floored_probs,
     induce_tables,
-    lexical_weight,
-    phrase_embedding,
     softmax_scores,
-    top1_sample,
-    word_translation_table,
 )
 from .pipeline import (
     DirectionResult,
@@ -92,7 +83,6 @@ from .pipeline import (
 from .retrieval import (
     METHODS,
     RetrievalConfig,
-    best_translation,
     induce_dictionary,
     rank_candidates,
 )
@@ -129,34 +119,27 @@ __all__ = [
     "TunerConfig",
     "TuningObjective",
     "align_corpus",
-    "best_translation",
     "build_phrase_inventory",
     "build_phrase_store",
-    "build_phrase_table",
     "build_vocabulary",
-    "candidate_sets",
     "corpus_from_sentences",
     "cosine_matrix",
     "count_extractions",
     "count_ngrams",
     "decode",
     "dictionary_from_counts",
-    "estimate_temperature",
     "extract_phrases",
-    "feature_score",
     "floored_probs",
     "grow_diag_final_and",
     "induce_dictionary",
     "induce_tables",
     "k_nearest",
-    "lexical_weight",
     "load_cache",
     "load_corpus",
     "load_embeddings",
     "load_lm",
     "objective",
     "perplexity",
-    "phrase_embedding",
     "precision_at_1",
     "rank_candidates",
     "read_config",
@@ -170,15 +153,12 @@ __all__ = [
     "sentence_bleu",
     "softmax_scores",
     "tokenize",
-    "top1_sample",
     "train_ibm2",
     "train_lm",
-    "translate",
     "translate_corpus",
     "tune",
     "unit_normalize",
     "viterbi_align",
-    "word_translation_table",
     "write_config",
     "write_corpus",
     "write_embeddings",

@@ -125,8 +125,6 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 def _cmd_align(args: argparse.Namespace) -> int:
     if not (args.out_fwd or args.out_rev or args.out_sym):
         raise ValueError("align: give at least one of --out-fwd, --out-rev, --out-sym")
-    if args.out_sym and args.symmetrize == "none":
-        raise ValueError("align: --out-sym requires --symmetrize gdfa")
     config = _config(args)
     align_stage(
         config, _tokenized_corpus(args.src, config), _tokenized_corpus(args.tgt, config),
@@ -246,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-fwd", help="forward links output")
     p.add_argument("--out-rev", help="reverse links output (source-target orientation)")
     p.add_argument("--out-sym", help="symmetrized links output")
-    p.add_argument("--symmetrize", choices=("gdfa", "none"), default="gdfa")
     p.add_argument("--iterations", dest="align_iterations", type=int)
     p.add_argument("--tension", dest="align_tension", type=float)
     p.add_argument("--null-prob", dest="align_null_prob", type=float)

@@ -114,40 +114,6 @@ class DecodeResult:
     score: float
 
 
-def feature_score(
-    steps: Sequence[DerivationStep],
-    weights: FeatureWeights,
-    lm: NGramModel,
-    source_length: int | None = None,
-) -> tuple[np.ndarray, float]:
-    """Test oracle: recompute the feature vector and model score of a
-    derivation from scratch, for checking the decoder's incremental scores.
-    With source_length given, verifies the steps cover the source exactly
-    once."""
-    if source_length is not None:
-        covered: set[int] = set()
-        for step in steps:
-            span = set(range(step.start, step.end + 1))
-            if covered & span:
-                raise ValueError(f"derivation covers position {min(covered & span)} twice")
-            covered |= span
-        if covered != set(range(source_length)):
-            raise ValueError("derivation does not cover the source exactly once")
-    feats = np.zeros(len(FEATURE_NAMES), dtype=np.float64)
-    output: list[str] = []
-    prev_end = -1
-    for step in steps:
-        for i in range(4):
-            feats[i] += step.log_phi[i]
-        output.extend(step.tgt)
-        feats[7] -= abs(step.start - prev_end - 1)
-        prev_end = step.end
-    feats[4] = lm.log_prob(output)
-    feats[5] = -float(len(output))
-    feats[6] = -float(len(steps))
-    return feats, float(feats @ weights.as_array())
-
-
 class _Hyp:
     """A partial derivation. `step` is (start, end, option, LM score) of
     its last phrase; DerivationSteps and the feature vector are built only
@@ -321,18 +287,6 @@ def decode(
             return decode(sentence, table, lm, weights, beam, 0, options_limit)
         raise RuntimeError("monotone decoding failed to complete (unreachable)")
     return _replay(sentence, min(stacks[n].values(), key=_sort_key))
-
-
-def translate(
-    sentence: Sequence[str],
-    table: PhraseTable,
-    lm: NGramModel,
-    weights: FeatureWeights = FeatureWeights(),
-    beam: int = DEFAULT_BEAM,
-    distortion_limit: int = DEFAULT_DISTORTION_LIMIT,
-    options_limit: int | None = None,
-) -> list[str]:
-    return list(decode(sentence, table, lm, weights, beam, distortion_limit, options_limit).output)
 
 
 @dataclass

@@ -41,22 +41,13 @@ class InducedDictionary:
         cands = self.entries.get(source)
         return cands[0][0] if cands else None
 
-    def write(self, path: str | Path, top1_only: bool = False) -> None:
-        """Text output, sources sorted, candidates best-first.
-
-        Default: "src<TAB>tgt<TAB>score" lines. top1_only emits the
-        two-column "src tgt" exchange format instead (one line per source).
-        """
+    def write(self, path: str | Path) -> None:
+        """"src<TAB>tgt<TAB>score" lines, sources sorted, candidates
+        best-first."""
         with atomic_write(path) as fh:
             for src in sorted(self.entries):
-                cands = self.entries[src]
-                if not cands:
-                    continue
-                if top1_only:
-                    fh.write(f"{src} {cands[0][0]}\n")
-                else:
-                    for tgt, score in cands:
-                        fh.write(f"{src}\t{tgt}\t{score:.6g}\n")
+                for tgt, score in self.entries[src]:
+                    fh.write(f"{src}\t{tgt}\t{score:.6g}\n")
 
     @classmethod
     def read(cls, path: str | Path) -> "InducedDictionary":

@@ -136,21 +136,9 @@ class NGramModel:
                 hit = row[word] = self._transition(state, word)
         return hit
 
-    def log_cond(self, word: str, context: Sequence[str]) -> float:
-        """log p(word | context); context is the preceding tokens, already
-        begin-padded by the caller (log_prob does this for you)."""
-        ctx = tuple(context)[max(0, len(context) - (self.order - 1)) :] if self.order > 1 else ()
-        return self.step(self._state(ctx), word)[0]
-
     def initial_context(self) -> NGram:
         """The begin-of-sentence context: order - 1 begin symbols."""
         return (BOS,) * (self.order - 1)
-
-    def extend_context(self, context: NGram, word: str) -> NGram:
-        """Shift `word` (vocabulary-normalized) into a log_cond context."""
-        if self.order == 1:
-            return ()
-        return (context + (self.normalize_token(word),))[1:]
 
     def log_prob(self, sentence: Sequence[str]) -> float:
         """Natural-log probability of the sentence including the end symbol."""

@@ -16,11 +16,13 @@ of cosines, and every later step works on whole matrices: row-wise floored
 softmaxes give phi_fwd; phi_bwd and the word-level probabilities are looked
 up in sorted (row, target) key arrays by binary search; lexical weights are
 a max over generating words and a product over generated words of such
-lookups on the phrases' word ids. The result is an `InducedTable` per
-direction, written straight from its arrays. The dict-based functions
-(`candidate_sets`, `word_translation_table`, `lexical_weight`,
-`build_phrase_table`, `top1_sample`) compute the same tables entry by entry
-and are kept as test oracles; the columnar path must match them exactly.
+lookups on the phrases' word ids. Each direction's result is a
+`PhraseTable`, the one table type: held in CSR form (source phrases, the
+target-phrase vocabulary, row offsets, target ids and an (N, 4) probability
+array), written by the tables stage, parsed by `PhraseTable.read` and
+decoded from. Entry-by-entry dict forms of the induction live in
+`tests/oracles.py`; the test suite checks that this module matches them
+exactly.
 """
 
 from __future__ import annotations
@@ -28,15 +30,18 @@ from __future__ import annotations
 import logging
 import math
 import random
-from collections.abc import Sequence
+from array import array
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import NGramCounts, build_vocabulary
-from .embeddings import EmbeddingStore, Neighbors, ScoredCandidates, k_nearest, unit_normalize
+from .embeddings import EmbeddingStore, Neighbors, k_nearest, unit_normalize
 from .fileio import atomic_write
 
 log = logging.getLogger(__name__)
@@ -101,24 +106,6 @@ def build_phrase_inventory(
 
 def phrase_key(phrase: Phrase) -> str:
     return " ".join(phrase)
-
-
-def phrase_embedding(phrase: Phrase, words: EmbeddingStore) -> np.ndarray:
-    """Test oracle: renormalized mean of the phrase's unit word vectors,
-    one phrase at a time; `build_phrase_store` computes the same vectors in
-    bulk."""
-    if not phrase:
-        raise ValueError("empty phrase")
-    if not words.normalized:
-        words = unit_normalize(words)
-    missing = [w for w in phrase if w not in words]
-    if missing:
-        raise ValueError(f"word {missing[0]!r} has no embedding")
-    mean = words.vectors[words.indices(phrase)].astype(np.float64).mean(axis=0)
-    norm = float(np.sqrt((mean**2).sum()))
-    if norm == 0.0:
-        raise ValueError(f"zero centroid for phrase {phrase_key(phrase)!r}")
-    return (mean / norm).astype(np.float32)
 
 
 def build_phrase_store(inventory: PhraseInventory, words: EmbeddingStore) -> EmbeddingStore:
@@ -236,7 +223,8 @@ def _fit_temperature(
 def _fit_to_opposite(
     near: Neighbors, opposite: Neighbors, sample_size: int, seed: int
 ) -> TemperatureParam:
-    """`estimate_temperature(near, top1_sample(opposite))` on arrays.
+    """The fit of `near`'s temperature against the top-1 sample of
+    `opposite`, on arrays (`tests/oracles.py` has the dict form).
 
     Each result's rows must be its query store in order, so that a row
     number of one is a target index of the other.
@@ -251,110 +239,19 @@ def _fit_to_opposite(
     )
 
 
-def candidate_sets(
-    src: EmbeddingStore, tgt: EmbeddingStore, k: int = DEFAULT_CANDIDATES
-) -> dict[str, ScoredCandidates]:
-    """Test oracle: k nearest target phrases for every source phrase, keyed
-    by source."""
-    return {r.query: r for r in k_nearest(src, tgt, src.vocab, k)}
-
-
-def top1_sample(
-    cands: dict[str, ScoredCandidates], sample_size: int = DEFAULT_REVERSE_SAMPLE, seed: int = 13
-) -> list[tuple[str, str]]:
-    """Test oracle: seeded sample of (query, nearest neighbor) pairs from
-    candidate sets, the induced dictionary that the opposite direction's
-    temperature is fitted against."""
-    keys = list(cands)
-    return [(keys[i], cands[keys[i]].best()) for i in _sample_rows(len(keys), sample_size, seed)]
-
-
-def _pair_matrices(
-    cands: dict[str, ScoredCandidates], pairs: Sequence[tuple[str, str]]
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Cosine rows (padded with -inf), gold scores and the skipped count for
-    MLE pairs."""
-    rows: list[np.ndarray] = []
-    gold: list[float] = []
-    skipped = 0
-    width = 0
-    for generated, generator in pairs:
-        cand = cands.get(generator)
-        if cand is None:
-            skipped += 1
-            continue
-        scores = {t: s for t, s in cand.candidates}
-        if generated not in scores:
-            skipped += 1
-            continue
-        row = np.array([s for _, s in cand.candidates], dtype=np.float64)
-        rows.append(row)
-        gold.append(scores[generated])
-        width = max(width, row.shape[0])
-    padded = np.full((len(rows), width), -np.inf)
-    for i, row in enumerate(rows):
-        padded[i, : row.shape[0]] = row
-    return padded, np.array(gold, dtype=np.float64), skipped
-
-
-def estimate_temperature(
-    cands: dict[str, ScoredCandidates],
-    reverse_pairs: Sequence[tuple[str, str]],
-    lo: float = TAU_LO,
-    hi: float = TAU_HI,
-    iterations: int = TAU_ITERATIONS,
-) -> TemperatureParam:
-    """Maximum-likelihood temperature via golden-section search on log tau.
-
-    reverse_pairs are (generated phrase, generating phrase) pairs induced in
-    the opposite direction; pairs whose generated phrase is missing from the
-    generating phrase's candidate set are skipped with a warning. This is
-    the dict form of the fit that `induce_tables` runs on arrays.
-    """
-    return _fit_temperature(*_pair_matrices(cands, reverse_pairs), lo, hi, iterations)
-
-
-def word_translation_table(
-    cands: dict[str, ScoredCandidates], tau: TemperatureParam, floor: float = PROB_FLOOR
-) -> dict[str, dict[str, float]]:
-    """Test oracle: word-level softmax translation probabilities over each
-    word's candidate set, w(generated | generating)."""
-    table: dict[str, dict[str, float]] = {}
-    for word, cand in cands.items():
-        probs = floored_probs(
-            softmax_scores(np.array([s for _, s in cand.candidates]), tau.tau), floor
-        )
-        table[word] = {t: float(p) for (t, _), p in zip(cand.candidates, probs)}
-    return table
-
-
-def lexical_weight(
-    generating: Phrase,
-    generated: Phrase,
-    table: dict[str, dict[str, float]],
-    floor: float = PROB_FLOOR,
-) -> float:
-    """Test oracle: product over generated words of the best word-level
-    probability from any generating word; words no generating word covers
-    contribute `floor`."""
-    weight = 1.0
-    for out_word in generated:
-        best = 0.0
-        for in_word in generating:
-            best = max(best, table.get(in_word, {}).get(out_word, 0.0))
-        weight *= best if best > 0.0 else floor
-    return weight
-
-
 _PROB_FIELDS = ("phi_fwd", "phi_bwd", "lex_fwd", "lex_bwd")
-# A PhraseTable row: target phrase and its four probabilities.
-_Row = tuple[str, float, float, float, float]
-# One table line, shared by both table writers so that their bytes agree.
+# One table line: source, target and the four probabilities.
 _TABLE_LINE = "%s ||| %s ||| %.6g %.6g %.6g %.6g\n"
+# Source phrases per block when computing lexical weights and writing. It
+# bounds the temporaries at any table size. Larger blocks leave more freed
+# but resident heap behind the stage: at 1,024 rows the peak RSS of the tune
+# stage that follows rose by up to 8 MiB on the cipher benchmark.
+_ROW_BLOCK = 64
 
 
-@dataclass(frozen=True)
-class PhraseTableEntry:
+class PhraseTableEntry(NamedTuple):
+    """One entry of the `PhraseTable.entries` view."""
+
     src: str
     tgt: str
     phi_fwd: float
@@ -362,96 +259,108 @@ class PhraseTableEntry:
     lex_fwd: float
     lex_bwd: float
 
-    def __post_init__(self) -> None:
-        for name in _PROB_FIELDS:
-            value = getattr(self, name)
-            if not (0.0 < value <= 1.0):
-                raise ValueError(f"{name}={value} outside (0, 1] for {self.src!r}")
+
+def _out_of_range(probs: np.ndarray) -> tuple[int, str] | None:
+    """The first entry (row of an (N, 4) array) holding a probability
+    outside (0, 1], with a message that names the field and its value."""
+    bad = ~((probs > 0.0) & (probs <= 1.0))
+    if not bad.any():
+        return None
+    e, f = (int(x) for x in np.argwhere(bad)[0])
+    return e, f"{_PROB_FIELDS[f]}={float(probs[e, f])} outside (0, 1]"
 
 
+@dataclass(eq=False)
 class PhraseTable:
-    """Candidate target phrases per source phrase, best phi_fwd first.
+    """Candidate target phrases per source phrase, in CSR form.
 
-    Held as rows, (tgt, phi_fwd, phi_bwd, lex_fwd, lex_bwd) per entry, or
-    as the PhraseTableEntry mapping it was built from; each form is built
-    from the other on first access. `log_options` is the decoder's view of
-    one source phrase, built once per phrase (tables are immutable once
-    decoded from).
+    Source phrase src[i] owns entries start[i] to start[i + 1] - 1; entry e
+    is target phrase tgt[idx[e]] with probs[e] = (phi_fwd, phi_bwd,
+    lex_fwd, lex_bwd), each in (0, 1]. An induced table holds k entries per
+    source, best phi_fwd first (ties by target); a read table holds each
+    source's lines in file order. Tables are immutable once built:
+    `log_options` is the decoder's view of one source phrase, built once
+    per phrase, and `entries` a read-only PhraseTableEntry view, built on
+    first access.
     """
 
-    def __init__(self, entries: dict[str, Sequence[PhraseTableEntry]]):
-        self.entries = entries
-        self._max_src: int | None = None
+    src: tuple[str, ...]
+    tgt: tuple[str, ...]
+    start: np.ndarray
+    idx: np.ndarray
+    probs: np.ndarray
+
+    def __post_init__(self) -> None:
+        bad = _out_of_range(self.probs)
+        if bad is not None:
+            e, message = bad
+            row = int(np.searchsorted(self.start, e, side="right")) - 1
+            raise ValueError(f"{message} for {self.src[row]!r}")
+        self._row = dict(zip(self.src, range(len(self.src))))
+        self._max_src = max((s.count(" ") + 1 for s in self.src), default=1)
         self._log_options: dict[str, tuple] = {}
 
-    @classmethod
-    def _of_rows(cls, rows: dict[str, list[_Row]]) -> "PhraseTable":
-        table = cls.__new__(cls)
-        table._rows = rows
-        table._max_src = None
-        table._log_options = {}
-        return table
-
-    @cached_property
-    def entries(self) -> dict[str, tuple[PhraseTableEntry, ...]]:
-        return {
-            src: tuple(PhraseTableEntry(src, *row) for row in rows)
-            for src, rows in self._rows.items()
-        }
-
-    @cached_property
-    def _rows(self) -> dict[str, list[_Row]]:
-        return {
-            src: [(e.tgt, e.phi_fwd, e.phi_bwd, e.lex_fwd, e.lex_bwd) for e in entries]
-            for src, entries in self.entries.items()
-        }
-
     def __len__(self) -> int:
-        return sum(len(v) for v in self._rows.values())
+        return len(self.idx)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PhraseTable) and self._rows == other._rows
-
-    def options(self, phrase: Sequence[str]) -> tuple[PhraseTableEntry, ...]:
-        return self.entries.get(" ".join(phrase), ())
+    @cached_property
+    def entries(self) -> Mapping[str, tuple[PhraseTableEntry, ...]]:
+        """Each source phrase's entries, in table order."""
+        start = self.start.tolist()
+        srcs = [src for i, src in enumerate(self.src) for _ in range(start[i], start[i + 1])]
+        tgts = [self.tgt[j] for j in self.idx.tolist()]
+        entries = list(map(PhraseTableEntry._make, zip(srcs, tgts, *self.probs.T.tolist())))
+        return MappingProxyType(
+            {src: tuple(entries[start[i] : start[i + 1]]) for i, src in enumerate(self.src)}
+        )
 
     def log_options(self, src: str) -> tuple[tuple[str, tuple[str, ...], tuple[float, ...]], ...]:
         """(target phrase, its words, log phi_fwd, phi_bwd, lex_fwd, lex_bwd)
         per entry of source phrase `src`, in table order."""
         hit = self._log_options.get(src)
         if hit is None:
-            rows = self._rows.get(src)
-            if rows is None:
+            row = self._row.get(src)
+            if row is None:
                 return ()
+            a, b = self.start[row : row + 2].tolist()
             log = math.log
-            hit = self._log_options[src] = tuple(
-                (tgt, tuple(tgt.split(" ")), (log(pf), log(pb), log(lf), log(lb)))
-                for tgt, pf, pb, lf, lb in rows
-            )
+            tgt = self.tgt
+            hit = self._log_options[src] = tuple([
+                (tgt[j], tuple(tgt[j].split(" ")), (log(pf), log(pb), log(lf), log(lb)))
+                for j, (pf, pb, lf, lb) in zip(self.idx[a:b].tolist(), self.probs[a:b].tolist())
+            ])
         return hit
 
     def max_source_words(self) -> int:
-        """Longest source phrase, in words (tables are immutable once built)."""
-        if self._max_src is None:
-            self._max_src = max((k.count(" ") + 1 for k in self._rows), default=1)
+        """Longest source phrase, in words."""
         return self._max_src
 
     def write(self, path: str | Path) -> None:
         """One "src ||| tgt ||| phi_fwd phi_bwd lex_fwd lex_bwd" line per
-        entry, sources sorted, entries by descending phi_fwd; probabilities
-        carry 6 significant digits and round-trip bit-exactly."""
+        entry, sources sorted, each source's entries in table order;
+        probabilities carry 6 significant digits and round-trip bit-exactly.
+        Lines are formatted a block of sources at a time."""
+        order = sorted(range(len(self.src)), key=self.src.__getitem__)
+        start = self.start.tolist()
         with atomic_write(path) as fh:
-            for src in sorted(self.entries):
-                for e in self.entries[src]:
-                    fh.write(
-                        _TABLE_LINE % (e.src, e.tgt, e.phi_fwd, e.phi_bwd, e.lex_fwd, e.lex_bwd)
-                    )
+            for first in range(0, len(order), _ROW_BLOCK):
+                rows = order[first : first + _ROW_BLOCK]
+                at = [e for i in rows for e in range(start[i], start[i + 1])]
+                srcs = [self.src[i] for i in rows for _ in range(start[i], start[i + 1])]
+                tgts = [self.tgt[j] for j in self.idx[at].tolist()]
+                probs = self.probs[at].T.tolist()
+                fh.writelines([_TABLE_LINE % line for line in zip(srcs, tgts, *probs)])
 
     @classmethod
     def read(cls, path: str | Path) -> "PhraseTable":
         """Parse a table written by `write`; every probability must lie in
-        (0, 1]. Errors name the file and line."""
-        rows: dict[str, list[_Row]] = {}
+        (0, 1]. A source's lines need not be adjacent: its entries keep
+        their file order. Errors name the file and line."""
+        srcs: list[str] = []
+        tgts: list[str] = []
+        lines: list[int] = []
+        # A flat C array: parsing holds no float object per value.
+        probs = array("d")
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 parts = line.split(" ||| ")
@@ -459,68 +368,39 @@ class PhraseTable:
                     if not line.strip():
                         continue
                     raise ValueError(f"{path}: line {lineno}: expected 3 '|||' fields")
-                src, tgt, values = parts
-                probs = values.split()
-                if len(probs) != 4:
+                src, tgt, rest = parts
+                fields = rest.split()
+                if len(fields) != 4:
                     raise ValueError(f"{path}: line {lineno}: expected 4 probabilities")
                 try:
-                    pf, pb, lf, lb = map(float, probs)
+                    probs.extend(map(float, fields))
                 except ValueError:
                     raise ValueError(f"{path}: line {lineno}: non-numeric probability") from None
-                if not (0.0 < pf <= 1.0 and 0.0 < pb <= 1.0
-                        and 0.0 < lf <= 1.0 and 0.0 < lb <= 1.0):
-                    for name, value in zip(_PROB_FIELDS, (pf, pb, lf, lb)):
-                        if not 0.0 < value <= 1.0:
-                            raise ValueError(
-                                f"{path}: line {lineno}: {name}={value} outside (0, 1] for {src!r}"
-                            )
-                row = rows.get(src)
-                if row is None:
-                    row = rows[src] = []
-                row.append((tgt, pf, pb, lf, lb))
-        return cls._of_rows(rows)
+                srcs.append(src)
+                tgts.append(tgt)
+                lines.append(lineno)
+        values = np.frombuffer(probs, dtype=np.float64).reshape(-1, 4)
+        bad = _out_of_range(values)
+        if bad is not None:
+            e, message = bad
+            raise ValueError(f"{path}: line {lines[e]}: {message} for {srcs[e]!r}")
+        src, row = _intern(srcs)
+        tgt, idx = _intern(tgts)
+        order = np.argsort(row, kind="stable")
+        start = np.zeros(len(src) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=len(src)), out=start[1:])
+        return cls(src, tgt, start, idx[order], values[order])
 
 
-def build_phrase_table(
-    cands: dict[str, ScoredCandidates],
-    opposite_cands: dict[str, ScoredCandidates],
-    tau: TemperatureParam,
-    opposite_tau: TemperatureParam,
-    word_table: dict[str, dict[str, float]],
-    opposite_word_table: dict[str, dict[str, float]],
-    floor: float = PROB_FLOOR,
-) -> PhraseTable:
-    """Test oracle: one direction's phrase table from both directions'
-    candidate sets, entry by entry. Backward probabilities are looked up in
-    the opposite direction's softmax map and floored when the reversed pair
-    is absent."""
-    forward = word_translation_table(cands, tau, floor)
-    backward = word_translation_table(opposite_cands, opposite_tau, floor)
-    entries: dict[str, tuple[PhraseTableEntry, ...]] = {}
-    for src, cand in cands.items():
-        src_words = tuple(src.split(" "))
-        fwd = forward[src]
-        rows = []
-        for tgt, _ in cand.candidates:
-            tgt_words = tuple(tgt.split(" "))
-            rows.append(
-                PhraseTableEntry(
-                    src,
-                    tgt,
-                    phi_fwd=fwd[tgt],
-                    phi_bwd=backward.get(tgt, {}).get(src, floor),
-                    lex_fwd=lexical_weight(src_words, tgt_words, word_table, floor),
-                    lex_bwd=lexical_weight(tgt_words, src_words, opposite_word_table, floor),
-                )
-            )
-        rows.sort(key=lambda e: (-e.phi_fwd, e.tgt))
-        entries[src] = tuple(rows)
-    return PhraseTable(entries)
+def _intern(items: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct items in first-seen order, and each item's index among
+    them."""
+    index = {item: i for i, item in enumerate(dict.fromkeys(items))}
+    return tuple(index), np.fromiter(map(index.__getitem__, items), np.int64, len(items))
 
 
 def _row_probs(near: Neighbors, tau: TemperatureParam, floor: float) -> np.ndarray:
-    """Floored softmax over each query's candidates: `word_translation_table`
-    on arrays."""
+    """Floored softmax over each query's candidates."""
     return floored_probs(softmax_scores(near.scores, tau.tau), floor)
 
 
@@ -547,11 +427,6 @@ class _PairTable:
 # Word ids of a phrase that the word store lacks, and past the phrase's end.
 _ABSENT = -1
 _PAD = -2
-# Source phrases per block when computing lexical weights and writing. It
-# bounds the temporaries at any table size. Larger blocks leave more freed
-# but resident heap behind the stage: at 1,024 rows the peak RSS of the tune
-# stage that follows rose by up to 8 MiB on the cipher benchmark.
-_ROW_BLOCK = 64
 
 
 def _phrase_word_ids(phrases: Sequence[str], words: EmbeddingStore) -> np.ndarray:
@@ -569,9 +444,10 @@ def _phrase_word_ids(phrases: Sequence[str], words: EmbeddingStore) -> np.ndarra
 def _lexical_weights(
     generating: np.ndarray, generated: np.ndarray, table: _PairTable, floor: float
 ) -> np.ndarray:
-    """`lexical_weight` for broadcast arrays of phrase word ids (..., L),
-    with `table` keyed by (generating word, generated word). The product
-    runs over generated words left to right, as the oracle's does."""
+    """Lexical weights for broadcast arrays of phrase word ids (..., L),
+    with `table` keyed by (generating word, generated word): per generated
+    word the best probability from any generating word (the floor if none
+    covers it), multiplied over generated words left to right."""
     best = table.get(generating[..., :, None], generated[..., None, :]).max(axis=-2)
     best = np.where(best > 0.0, best, floor)
     best = np.where(generated == _PAD, 1.0, best)
@@ -579,74 +455,6 @@ def _lexical_weights(
     for col in range(1, best.shape[-1]):
         weight = weight * best[..., col]
     return weight
-
-
-class _TableRow(Sequence):
-    """One source phrase's entries of an InducedTable, built on access."""
-
-    def __init__(self, src: str, targets: tuple[str, ...], idx: np.ndarray, probs: np.ndarray):
-        self.src = src
-        self.targets = targets
-        self.idx = idx
-        self.probs = probs
-
-    def __len__(self) -> int:
-        return len(self.idx)
-
-    def __getitem__(self, j: int) -> PhraseTableEntry:
-        return PhraseTableEntry(self.src, self.targets[self.idx[j]], *self.probs[j].tolist())
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Sequence) and tuple(self) == tuple(other)
-
-
-@dataclass(eq=False)
-class InducedTable:
-    """One direction's induced phrase table, held as arrays.
-
-    Row i holds source phrase src[i]'s candidates tgt[idx[i, j]] in
-    PhraseTable order (descending phi_fwd, then target), and probs[i, j]
-    their (phi_fwd, phi_bwd, lex_fwd, lex_bwd). Every probability must lie
-    in (0, 1]. `entries` and `options` give the PhraseTable view.
-    """
-
-    src: tuple[str, ...]
-    tgt: tuple[str, ...]
-    idx: np.ndarray
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        bad = ~((self.probs > 0.0) & (self.probs <= 1.0))
-        if bad.any():
-            i, j, f = (int(x) for x in np.argwhere(bad)[0])
-            value = float(self.probs[i, j, f])
-            raise ValueError(f"{_PROB_FIELDS[f]}={value} outside (0, 1] for {self.src[i]!r}")
-
-    def __len__(self) -> int:
-        return self.idx.size
-
-    @cached_property
-    def entries(self) -> dict[str, _TableRow]:
-        return {
-            src: _TableRow(src, self.tgt, self.idx[i], self.probs[i])
-            for i, src in enumerate(self.src)
-        }
-
-    def options(self, phrase: Sequence[str]) -> Sequence[PhraseTableEntry]:
-        return self.entries.get(" ".join(phrase), ())
-
-    def write(self, path: str | Path) -> None:
-        """The PhraseTable.write format, straight from the arrays, a block
-        of source phrases at a time."""
-        order = sorted(range(len(self.src)), key=self.src.__getitem__)
-        k = self.idx.shape[1]
-        with atomic_write(path) as fh:
-            for start in range(0, len(order), _ROW_BLOCK):
-                rows = order[start : start + _ROW_BLOCK]
-                srcs = [self.src[i] for i in rows for _ in range(k)]
-                tgts = [self.tgt[j] for j in self.idx[rows].ravel().tolist()]
-                probs = self.probs[rows].reshape(-1, 4).T.tolist()
-                fh.writelines([_TABLE_LINE % line for line in zip(srcs, tgts, *probs)])
 
 
 def _induced_table(
@@ -659,7 +467,7 @@ def _induced_table(
     opposite_words: _PairTable,
     tgt_lexrank: np.ndarray,
     floor: float,
-) -> InducedTable:
+) -> PhraseTable:
     """One direction's table from its candidates and forward
     probabilities `phi`, the opposite direction's phrase and word
     probabilities, and both sides' phrase word ids. Rows are put in table
@@ -678,15 +486,18 @@ def _induced_table(
         out = tgt_ids[idx[block]]
         probs[block, :, 2] = _lexical_weights(gen, out, words, floor)
         probs[block, :, 3] = _lexical_weights(out, gen, opposite_words, floor)
-    return InducedTable(near.queries, near.targets, idx, probs)
+    n, k = idx.shape
+    return PhraseTable(
+        near.queries, near.targets, k * np.arange(n + 1), idx.ravel(), probs.reshape(-1, 4)
+    )
 
 
 @dataclass
 class TableInduction:
     """Both directions' tables and fitted temperatures."""
 
-    table_fwd: InducedTable
-    table_rev: InducedTable
+    table_fwd: PhraseTable
+    table_rev: PhraseTable
     tau_fwd: TemperatureParam
     tau_rev: TemperatureParam
 

@@ -147,16 +147,6 @@ def _scored(
     return ScoredCandidates(query, tuple(zip((tgt.vocab[j] for j in kept), values)))
 
 
-def best_translation(
-    src: EmbeddingStore, tgt: EmbeddingStore, query: str, config: RetrievalConfig
-) -> str:
-    """Top-ranked target for a single query."""
-    ranked = rank_candidates(src, tgt, [query], config)
-    if not ranked:
-        raise KeyError(f"query {query!r} not in source store")
-    return ranked[0].best()
-
-
 def induce_dictionary(
     src: EmbeddingStore,
     tgt: EmbeddingStore,

@@ -1,0 +1,249 @@
+"""Test oracles and hand-built phrase tables.
+
+The library computes phrase embeddings, candidate sets, temperatures and
+phrase tables on whole arrays, and the decoder scores derivations
+incrementally. The functions here compute the same things one phrase, one
+entry or one step at a time, from dicts, so that tests can compare the two
+exactly. `table_of` and `single_word_table` build `PhraseTable`s by hand.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Mapping, Sequence
+
+import numpy as np
+
+from lexinduct import (
+    FEATURE_NAMES,
+    DerivationStep,
+    EmbeddingStore,
+    FeatureWeights,
+    NGramModel,
+    PhraseTable,
+    PhraseTableEntry,
+    ScoredCandidates,
+    TemperatureParam,
+    floored_probs,
+    k_nearest,
+    softmax_scores,
+    unit_normalize,
+)
+from lexinduct.phrases import (
+    DEFAULT_CANDIDATES,
+    DEFAULT_REVERSE_SAMPLE,
+    PROB_FLOOR,
+    TAU_HI,
+    TAU_ITERATIONS,
+    TAU_LO,
+    Phrase,
+    _fit_temperature,
+    _sample_rows,
+    phrase_key,
+)
+
+
+def table_of(entries: Mapping[str, Sequence[PhraseTableEntry]]) -> PhraseTable:
+    """A PhraseTable holding `entries`, each source's in the given order."""
+    src = tuple(entries)
+    flat = [e for s in src for e in entries[s]]
+    tgt = tuple(dict.fromkeys(e.tgt for e in flat))
+    index = {t: i for i, t in enumerate(tgt)}
+    start = np.cumsum([0] + [len(entries[s]) for s in src])
+    idx = np.array([index[e.tgt] for e in flat], dtype=np.int64)
+    probs = np.array([e[2:] for e in flat], dtype=np.float64).reshape(-1, 4)
+    return PhraseTable(src, tgt, start, idx, probs)
+
+
+def single_word_table(rng, src_words, tgt_words, max_options=4):
+    """Random single-word table: 1 to max_options distinct targets per
+    source word, probabilities uniform in [0.05, 1), best phi_fwd first."""
+    entries = {}
+    for s in src_words:
+        n_opts = int(rng.integers(1, max_options + 1))
+        picks = rng.choice(len(tgt_words), size=n_opts, replace=False)
+        rows = []
+        for p in picks:
+            probs = rng.uniform(0.05, 1.0, size=4)
+            rows.append(PhraseTableEntry(s, tgt_words[int(p)], *probs))
+        rows.sort(key=lambda e: (-e.phi_fwd, e.tgt))
+        entries[s] = tuple(rows)
+    return table_of(entries)
+
+
+def phrase_embedding(phrase: Phrase, words: EmbeddingStore) -> np.ndarray:
+    """Renormalized mean of the phrase's unit word vectors, one phrase at a
+    time; `build_phrase_store` computes the same vectors in bulk."""
+    if not phrase:
+        raise ValueError("empty phrase")
+    if not words.normalized:
+        words = unit_normalize(words)
+    missing = [w for w in phrase if w not in words]
+    if missing:
+        raise ValueError(f"word {missing[0]!r} has no embedding")
+    mean = words.vectors[words.indices(phrase)].astype(np.float64).mean(axis=0)
+    norm = float(np.sqrt((mean**2).sum()))
+    if norm == 0.0:
+        raise ValueError(f"zero centroid for phrase {phrase_key(phrase)!r}")
+    return (mean / norm).astype(np.float32)
+
+
+def candidate_sets(
+    src: EmbeddingStore, tgt: EmbeddingStore, k: int = DEFAULT_CANDIDATES
+) -> dict[str, ScoredCandidates]:
+    """k nearest target phrases for every source phrase, keyed by source."""
+    return {r.query: r for r in k_nearest(src, tgt, src.vocab, k)}
+
+
+def top1_sample(
+    cands: dict[str, ScoredCandidates], sample_size: int = DEFAULT_REVERSE_SAMPLE, seed: int = 13
+) -> list[tuple[str, str]]:
+    """Seeded sample of (query, nearest neighbor) pairs from candidate sets,
+    the induced dictionary that the opposite direction's temperature is
+    fitted against."""
+    keys = list(cands)
+    return [(keys[i], cands[keys[i]].best()) for i in _sample_rows(len(keys), sample_size, seed)]
+
+
+def _pair_matrices(
+    cands: dict[str, ScoredCandidates], pairs: Sequence[tuple[str, str]]
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Cosine rows (padded with -inf), gold scores and the skipped count for
+    MLE pairs."""
+    rows: list[np.ndarray] = []
+    gold: list[float] = []
+    skipped = 0
+    width = 0
+    for generated, generator in pairs:
+        cand = cands.get(generator)
+        if cand is None:
+            skipped += 1
+            continue
+        scores = {t: s for t, s in cand.candidates}
+        if generated not in scores:
+            skipped += 1
+            continue
+        row = np.array([s for _, s in cand.candidates], dtype=np.float64)
+        rows.append(row)
+        gold.append(scores[generated])
+        width = max(width, row.shape[0])
+    padded = np.full((len(rows), width), -np.inf)
+    for i, row in enumerate(rows):
+        padded[i, : row.shape[0]] = row
+    return padded, np.array(gold, dtype=np.float64), skipped
+
+
+def estimate_temperature(
+    cands: dict[str, ScoredCandidates],
+    reverse_pairs: Sequence[tuple[str, str]],
+    lo: float = TAU_LO,
+    hi: float = TAU_HI,
+    iterations: int = TAU_ITERATIONS,
+) -> TemperatureParam:
+    """Maximum-likelihood temperature via golden-section search on log tau.
+
+    reverse_pairs are (generated phrase, generating phrase) pairs induced in
+    the opposite direction; pairs whose generated phrase is missing from the
+    generating phrase's candidate set are skipped with a warning.
+    """
+    return _fit_temperature(*_pair_matrices(cands, reverse_pairs), lo, hi, iterations)
+
+
+def word_translation_table(
+    cands: dict[str, ScoredCandidates], tau: TemperatureParam, floor: float = PROB_FLOOR
+) -> dict[str, dict[str, float]]:
+    """Word-level softmax translation probabilities over each word's
+    candidate set, w(generated | generating)."""
+    table: dict[str, dict[str, float]] = {}
+    for word, cand in cands.items():
+        probs = floored_probs(
+            softmax_scores(np.array([s for _, s in cand.candidates]), tau.tau), floor
+        )
+        table[word] = {t: float(p) for (t, _), p in zip(cand.candidates, probs)}
+    return table
+
+
+def lexical_weight(
+    generating: Phrase,
+    generated: Phrase,
+    table: dict[str, dict[str, float]],
+    floor: float = PROB_FLOOR,
+) -> float:
+    """Product over generated words of the best word-level probability from
+    any generating word; words no generating word covers contribute
+    `floor`."""
+    weight = 1.0
+    for out_word in generated:
+        best = 0.0
+        for in_word in generating:
+            best = max(best, table.get(in_word, {}).get(out_word, 0.0))
+        weight *= best if best > 0.0 else floor
+    return weight
+
+
+def build_phrase_table(
+    cands: dict[str, ScoredCandidates],
+    opposite_cands: dict[str, ScoredCandidates],
+    tau: TemperatureParam,
+    opposite_tau: TemperatureParam,
+    word_table: dict[str, dict[str, float]],
+    opposite_word_table: dict[str, dict[str, float]],
+    floor: float = PROB_FLOOR,
+) -> PhraseTable:
+    """One direction's phrase table from both directions' candidate sets,
+    entry by entry. Backward probabilities are looked up in the opposite
+    direction's softmax map and floored when the reversed pair is absent."""
+    forward = word_translation_table(cands, tau, floor)
+    backward = word_translation_table(opposite_cands, opposite_tau, floor)
+    entries: dict[str, tuple[PhraseTableEntry, ...]] = {}
+    for src, cand in cands.items():
+        src_words = tuple(src.split(" "))
+        fwd = forward[src]
+        rows = []
+        for tgt, _ in cand.candidates:
+            tgt_words = tuple(tgt.split(" "))
+            rows.append(
+                PhraseTableEntry(
+                    src,
+                    tgt,
+                    phi_fwd=fwd[tgt],
+                    phi_bwd=backward.get(tgt, {}).get(src, floor),
+                    lex_fwd=lexical_weight(src_words, tgt_words, word_table, floor),
+                    lex_bwd=lexical_weight(tgt_words, src_words, opposite_word_table, floor),
+                )
+            )
+        rows.sort(key=lambda e: (-e.phi_fwd, e.tgt))
+        entries[src] = tuple(rows)
+    return table_of(entries)
+
+
+def feature_score(
+    steps: Sequence[DerivationStep],
+    weights: FeatureWeights,
+    lm: NGramModel,
+    source_length: int | None = None,
+) -> tuple[np.ndarray, float]:
+    """Recompute the feature vector and model score of a derivation from
+    scratch, for checking the decoder's incremental scores. With
+    source_length given, verifies the steps cover the source exactly once."""
+    if source_length is not None:
+        covered: set[int] = set()
+        for step in steps:
+            span = set(range(step.start, step.end + 1))
+            if covered & span:
+                raise ValueError(f"derivation covers position {min(covered & span)} twice")
+            covered |= span
+        if covered != set(range(source_length)):
+            raise ValueError("derivation does not cover the source exactly once")
+    feats = np.zeros(len(FEATURE_NAMES), dtype=np.float64)
+    output: list[str] = []
+    prev_end = -1
+    for step in steps:
+        for i in range(4):
+            feats[i] += step.log_phi[i]
+        output.extend(step.tgt)
+        feats[7] -= abs(step.start - prev_end - 1)
+        prev_end = step.end
+    feats[4] = lm.log_prob(output)
+    feats[5] = -float(len(output))
+    feats[6] = -float(len(steps))
+    return feats, float(feats @ weights.as_array())

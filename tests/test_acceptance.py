@@ -23,16 +23,13 @@ from lexinduct import (
     FeatureWeights,
     NGramModel,
     PhraseTable,
-    PhraseTableEntry,
     PipelineConfig,
     RetrievalConfig,
     TranslationSystem,
     TunerConfig,
     align_corpus,
     decode,
-    estimate_temperature,
     extract_phrases,
-    feature_score,
     grow_diag_final_and,
     induce_dictionary,
     load_embeddings,
@@ -45,13 +42,13 @@ from lexinduct import (
     softmax_scores,
     train_ibm2,
     train_lm,
-    translate,
     unit_normalize,
 )
 from lexinduct.corpus import Corpus
-from lexinduct.phrases import ScoredCandidates
+from lexinduct.embeddings import ScoredCandidates
 from lexinduct.retrieval import METHODS
 from lexinduct.tuner import objective
+from oracles import estimate_temperature, feature_score, single_word_table
 
 
 def report(criterion, passed, detail=""):
@@ -310,10 +307,10 @@ class TestAcceptance:
                 src_vocab[int(i)]
                 for i in rng.integers(0, 12, size=int(rng.integers(1, 9)))
             ]
-            got = translate(sent, table, lm, weights, beam=5, distortion_limit=0)
+            got = decode(sent, table, lm, weights, beam=5, distortion_limit=0).output
             want = []
             for token in sent:
-                options = table.options([token])
+                options = table.entries.get(token, ())
                 if not options:
                     want.append(token)
                     continue
@@ -439,17 +436,3 @@ def brute_force_top1(cos, tokens_t, config):
         r_tgt = np.sort(cos, axis=0)[::-1][:k_col].mean(axis=0)
         scores = 2.0 * cos - r_src[:, None] - r_tgt[None, :]
     return [tokens_t[int(j)] for j in scores.argmax(axis=1)]
-
-
-def single_word_table(rng, src_words, tgt_words, max_options=4):
-    entries = {}
-    for s in src_words:
-        n_opts = int(rng.integers(1, max_options + 1))
-        picks = rng.choice(len(tgt_words), size=n_opts, replace=False)
-        rows = []
-        for p in picks:
-            probs = rng.uniform(0.05, 1.0, size=4)
-            rows.append(PhraseTableEntry(s, tgt_words[int(p)], *probs))
-        rows.sort(key=lambda e: (-e.phi_fwd, e.tgt))
-        entries[s] = tuple(rows)
-    return PhraseTable(entries)

@@ -184,13 +184,6 @@ class TestAlign:
         assert run_cli(["align", "--src", str(src), "--tgt", str(tgt)]) == 1
         assert "at least one" in capsys.readouterr().err
 
-    def test_sym_output_needs_symmetrization(self, tmp_path, capsys):
-        src, tgt = self.copy_corpus(tmp_path)
-        code = run_cli(["align", "--src", str(src), "--tgt", str(tgt),
-                        "--out-sym", str(tmp_path / "s.txt"), "--symmetrize", "none"])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
-
     def test_length_mismatch_exits_1(self, tmp_path, capsys):
         src, tgt = self.copy_corpus(tmp_path)
         with open(tgt, "a", encoding="utf-8") as fh:

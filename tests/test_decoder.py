@@ -16,15 +16,14 @@ from lexinduct import (
     PhraseTableEntry,
     TranslationSystem,
     decode,
-    feature_score,
     load_corpus,
     load_lm,
     run_pipeline,
     sample_sentences,
     train_lm,
-    translate,
     translate_corpus,
 )
+from oracles import feature_score, single_word_table, table_of
 
 
 def uniform_lm(v_size=16):
@@ -34,24 +33,8 @@ def uniform_lm(v_size=16):
     )
 
 
-def single_word_table(rng, src_words, tgt_words, max_options=4):
-    entries = {}
-    for s in src_words:
-        n_opts = int(rng.integers(1, max_options + 1))
-        picks = rng.choice(len(tgt_words), size=n_opts, replace=False)
-        rows = []
-        for p in picks:
-            probs = rng.uniform(0.05, 1.0, size=4)
-            rows.append(PhraseTableEntry(s, tgt_words[int(p)], *probs))
-        rows.sort(key=lambda e: (-e.phi_fwd, e.tgt))
-        entries[s] = tuple(rows)
-    return PhraseTable(entries)
-
-
 def identity_table(words):
-    return PhraseTable({
-        w: (PhraseTableEntry(w, w, 1.0, 1.0, 1.0, 1.0),) for w in words
-    })
+    return table_of({w: (PhraseTableEntry(w, w, 1.0, 1.0, 1.0, 1.0),) for w in words})
 
 
 class TestFeatureWeights:
@@ -120,7 +103,7 @@ class TestDecodeBasics:
     def test_identity_table_copies_input(self):
         lm = train_lm([["a", "b", "c"]] * 3, order=2)
         table = identity_table(["a", "b", "c"])
-        assert translate(["a", "b", "c"], table, lm) == ["a", "b", "c"]
+        assert decode(["a", "b", "c"], table, lm).output == ("a", "b", "c")
 
     def test_oov_token_copied_through(self):
         lm = train_lm([["x"]], order=2)
@@ -135,7 +118,7 @@ class TestDecodeBasics:
         lm = train_lm([["a"]], order=2)
         result = decode([], identity_table(["a"]), lm)
         assert result.output == () and result.steps == ()
-        np.testing.assert_allclose(result.score, lm.log_cond("</s>", lm.initial_context()))
+        np.testing.assert_allclose(result.score, lm.log_prob([]))
 
     def test_beam_validation(self):
         with pytest.raises(ValueError):
@@ -148,7 +131,7 @@ class TestDecodeBasics:
             "b": (PhraseTableEntry("b", "y", 0.1, 0.1, 0.1, 0.1),),
             "a b": (PhraseTableEntry("a b", "z z", 0.9, 0.9, 0.9, 0.9),),
         }
-        result = decode(["a", "b"], PhraseTable(entries), lm)
+        result = decode(["a", "b"], table_of(entries), lm)
         assert result.output == ("z", "z")
         assert len(result.steps) == 1
 
@@ -184,7 +167,7 @@ def enumerate_best(sentence, table, lm, weights):
     have_single = set()
     for i in range(n):
         for j in range(i + 1, n + 1):
-            for e in table.options(sentence[i:j]):
+            for e in table.entries.get(" ".join(sentence[i:j]), ()):
                 lp = (math.log(e.phi_fwd), math.log(e.phi_bwd),
                       math.log(e.lex_fwd), math.log(e.lex_bwd))
                 options.append((i, j, tuple(e.tgt.split(" ")), lp, False))
@@ -225,8 +208,8 @@ class TestExhaustiveOracle:
             if trial % 2:
                 # Add one bigram entry so segmentation choices matter.
                 probs = rng.uniform(0.3, 1.0, size=4)
-                table.entries["s0 s1"] = (PhraseTableEntry("s0 s1", "t0 t1", *probs),)
-                table._max_src = None
+                bigram = PhraseTableEntry("s0 s1", "t0 t1", *probs)
+                table = table_of({**table.entries, "s0 s1": (bigram,)})
             sent = [src_vocab[int(i)] for i in rng.integers(0, 4, size=int(rng.integers(2, 5)))]
             result = decode(sent, table, lm, beam=1000, distortion_limit=-1)
             want = enumerate_best(sent, table, lm, FeatureWeights())
@@ -247,10 +230,10 @@ class TestPerTokenArgmaxOracle:
             sent = [
                 src_vocab[int(i)] for i in rng.integers(0, 12, size=int(rng.integers(1, 9)))
             ]
-            got = translate(sent, table, lm, weights, beam=5, distortion_limit=0)
+            got = list(decode(sent, table, lm, weights, beam=5, distortion_limit=0).output)
             want = []
             for tok in sent:
-                opts = table.options([tok])
+                opts = table.entries.get(tok, ())
                 if not opts:
                     want.append(tok)
                     continue
@@ -290,7 +273,7 @@ class TestBeamAndOptionLimits:
 class TestTranslationSystem:
     def make_system(self, **kw):
         lm = train_lm([["x", "y"]] * 2, order=2)
-        table = PhraseTable({
+        table = table_of({
             "a": (PhraseTableEntry("a", "x", 0.9, 0.9, 0.9, 0.9),),
             "b": (PhraseTableEntry("b", "y", 0.9, 0.9, 0.9, 0.9),),
         })

@@ -190,12 +190,6 @@ class TestInducedDictionary:
         assert back.entries["a"] == (("z", 1.0),)
         assert [t for t, _ in back.entries["b"]] == ["y", "x"]
 
-    def test_top1_only_format(self, tmp_path):
-        induced = InducedDictionary({"b": (("y", 0.5),), "a": (("z", 1.0),)})
-        path = tmp_path / "dict.txt"
-        induced.write(path, top1_only=True)
-        assert path.read_text(encoding="utf-8") == "a z\nb y\n"
-
     def test_read_rejects_malformed(self, tmp_path):
         path = tmp_path / "dict.tsv"
         path.write_text("a x\n", encoding="utf-8")

@@ -39,10 +39,13 @@ class TestHandValues:
         np.testing.assert_allclose(math.exp(self.model.log_unseen), 1 / 6, atol=1e-12)
 
     def test_bigram_probabilities(self):
-        np.testing.assert_allclose(math.exp(self.model.log_cond("a", ["a"])), 17 / 24, atol=1e-12)
-        np.testing.assert_allclose(math.exp(self.model.log_cond(EOS, ["a"])), 5 / 24, atol=1e-12)
-        np.testing.assert_allclose(math.exp(self.model.log_cond("zz", ["a"])), 1 / 12, atol=1e-12)
-        np.testing.assert_allclose(math.exp(self.model.log_cond("a", [BOS])), 11 / 16, atol=1e-12)
+        begin = self.model.initial_state()
+        after_a = self.model.step(begin, "a")[1]
+        for state, word, want in (
+            (after_a, "a", 17 / 24), (after_a, EOS, 5 / 24), (after_a, "zz", 1 / 12),
+            (begin, "a", 11 / 16),
+        ):
+            np.testing.assert_allclose(math.exp(self.model.step(state, word)[0]), want, atol=1e-12)
 
     def test_conditional_sums_to_one(self):
         total = sum(self.model.next_word_distribution(["a"]).values())
@@ -114,21 +117,21 @@ class TestIncrementalScoring:
         flat = [w for s in corpus for w in s]
         for _ in range(20):
             sent = [rng.choice(flat + ["oov-token"]) for _ in range(rng.randint(1, 9))]
-            ctx = model.initial_context()
+            state = model.initial_state()
             total = 0.0
-            for i, word in enumerate(sent):
-                total += model.log_cond(word, ctx)
-                ctx = model.extend_context(ctx, word)
-            total += model.log_cond(EOS, ctx)
+            for word in sent:
+                value, state = model.step(state, word)
+                total += value
+            total += model.step(state, EOS)[0]
             np.testing.assert_allclose(total, model.log_prob(sent), atol=1e-12)
 
     def test_unigram_model_ignores_context(self):
         model = train_lm([["a", "b"]], order=1)
         assert model.initial_context() == ()
-        assert model.extend_context((), "a") == ()
-        np.testing.assert_allclose(
-            model.log_cond("a", ["b", "b"]), model.log_cond("a", []), atol=1e-15
-        )
+        begin = model.initial_state()
+        after_bb = model.step(model.step(begin, "b")[1], "b")[1]
+        assert after_bb == begin
+        assert model.step(after_bb, "a")[0] == model.step(begin, "a")[0]
 
 
 class TestVocabulary:
@@ -218,8 +221,9 @@ def test_direct_model_construction_backs_off():
         backoff={("a",): math.log(0.5)},
         log_unseen=math.log(0.1),
     )
+    after_a = model.step(model.initial_state(), "a")[1]
     np.testing.assert_allclose(
-        model.log_cond("a", ["a"]), math.log(0.5) + math.log(0.6), atol=1e-12
+        model.step(after_a, "a")[0], math.log(0.5) + math.log(0.6), atol=1e-12
     )
     assert model.vocab == (UNK, "a")
 
@@ -264,16 +268,16 @@ def hand_built_models():
 
 def assert_steps_match_the_recursion(model, sentence):
     """Chain `step` over the sentence and its end symbol; every score must
-    equal the string recursion and log_cond exactly, the sum log_prob."""
+    equal the string recursion exactly, the sum log_prob."""
     state = model.initial_state()
     context = model.initial_context()
     total = 0.0
     for token in list(sentence) + [EOS]:
         value, state = model.step(state, token)
         assert value == arpa_cond(model, model.normalize_token(token), context)
-        assert value == model.log_cond(token, context)
         total += value
-        context = model.extend_context(context, token)
+        if context:
+            context = context[1:] + (model.normalize_token(token),)
     assert total == model.log_prob(sentence)
 
 
@@ -301,14 +305,20 @@ class TestStep:
 
     @pytest.mark.parametrize("order", [1, 2, 3, 5])
     def test_raw_and_all_begin_contexts(self, order):
+        # Every word, raw or normalized, from states reached by stepping over
+        # raw prefixes (the empty prefix is the all-begin context).
         model = train_lm(chain_corpus(30, seed=order), order=order)
         for model in [model] + hand_built_models():
             k = model.order - 1
-            for context in ((BOS,) * k, (BOS,) * 4, ("w1", "oov", "w3"), (BOS, "w3", UNK), ()):
-                ctx = context[max(0, len(context) - k):] if k else ()
+            for prefix in ((), ("w1",), ("w1", "oov", "w3"), ("c", "a", "b"), ("oov", "a")):
+                state = model.initial_state()
+                context = model.initial_context()
+                for token in prefix:
+                    state = model.step(state, token)[1]
+                    context = (context + (model.normalize_token(token),))[1:] if k else ()
                 for word in model.vocab + ("oov", BOS):
-                    want = arpa_cond(model, model.normalize_token(word), ctx)
-                    assert model.log_cond(word, context) == want
+                    want = arpa_cond(model, model.normalize_token(word), context)
+                    assert model.step(state, word)[0] == want
 
     def test_next_word_distribution_is_built_on_step(self):
         model = train_lm(chain_corpus(30, seed=3), order=3)

@@ -15,20 +15,23 @@ from lexinduct import (
     TemperatureParam,
     build_phrase_inventory,
     build_phrase_store,
-    build_phrase_table,
-    candidate_sets,
     count_ngrams,
-    estimate_temperature,
     floored_probs,
     induce_tables,
+    softmax_scores,
+    unit_normalize,
+)
+from lexinduct.phrases import PROB_FLOOR, word_store
+from oracles import (
+    build_phrase_table,
+    candidate_sets,
+    estimate_temperature,
     lexical_weight,
     phrase_embedding,
-    softmax_scores,
+    table_of,
     top1_sample,
-    unit_normalize,
     word_translation_table,
 )
-from lexinduct.phrases import PROB_FLOOR, word_store, word_translation_table as _wtt
 
 
 def unit_store(n, dim, seed, prefix="w"):
@@ -230,7 +233,6 @@ class TestWordTableAndLexicalWeight:
         table = word_translation_table(cands, TemperatureParam(0.5))
         want = floored_probs(softmax_scores(np.array([0.9, 0.1]), 0.5))
         np.testing.assert_allclose([table["a"]["x"], table["a"]["y"]], want, atol=1e-12)
-        assert _wtt is word_translation_table
 
 
 class TestTop1Sample:
@@ -253,22 +255,24 @@ class TestPhraseTable:
         return PhraseTableEntry(src, tgt, **values)
 
     def test_probability_range_enforced(self):
-        with pytest.raises(ValueError):
-            self.entry(phi_fwd=0.0)
-        with pytest.raises(ValueError):
-            self.entry(lex_bwd=1.5)
-        self.entry(phi_fwd=1.0)
+        with pytest.raises(ValueError, match=r"^phi_fwd=0\.0 outside \(0, 1\] for 'a'$"):
+            table_of({"a": (self.entry(phi_fwd=0.0),)})
+        with pytest.raises(ValueError, match=r"^lex_bwd=1\.5 outside \(0, 1\] for 'b'$"):
+            table_of({"a": (self.entry(),), "b": (self.entry(src="b", lex_bwd=1.5),)})
+        table_of({"a": (self.entry(phi_fwd=1.0),)})
 
     def test_options_and_max_source_words(self):
-        table = PhraseTable({
+        table = table_of({
             "a": (self.entry(),),
             "b c d": (self.entry(src="b c d", tgt="y z"),),
         })
-        assert table.options(["a"]) == table.entries["a"]
-        assert table.options(["b", "c", "d"])[0].tgt == "y z"
-        assert table.options(["nope"]) == ()
+        assert table.entries["a"] == (self.entry(),)
+        assert table.entries["b c d"][0].tgt == "y z"
+        assert "nope" not in table.entries and table.log_options("nope") == ()
         assert table.max_source_words() == 3
         assert len(table) == 2
+        with pytest.raises(TypeError):
+            table.entries["nope"] = ()
 
     def test_write_read_rewrite_is_byte_stable(self, tmp_path):
         rng = np.random.default_rng(45)
@@ -281,7 +285,7 @@ class TestPhraseTable:
                 rows.append(PhraseTableEntry(src, f"t{j}", *probs))
             rows.sort(key=lambda e: (-e.phi_fwd, e.tgt))
             entries[src] = tuple(rows)
-        table = PhraseTable(entries)
+        table = table_of(entries)
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
         table.write(p1)
         PhraseTable.read(p1).write(p2)
@@ -293,11 +297,9 @@ class TestPhraseTable:
             "b c": (self.entry(src="b c", tgt="w", lex_bwd=1.0),),
         }
         path = tmp_path / "t.txt"
-        PhraseTable(entries).write(path)
+        table_of(entries).write(path)
         table = PhraseTable.read(path)
-        assert table == PhraseTable(entries)
         assert table.entries == entries
-        assert table.options(["b", "c"]) == entries["b c"]
         assert len(table) == 3 and table.max_source_words() == 2
         fields = ("phi_fwd", "phi_bwd", "lex_fwd", "lex_bwd")
         assert table.log_options("a") == tuple(
@@ -305,6 +307,62 @@ class TestPhraseTable:
             for e in entries["a"]
         )
         assert table.log_options("nope") == ()
+
+    def test_sources_with_different_entry_counts_round_trip(self, tmp_path):
+        rng = np.random.default_rng(52)
+        entries = {}
+        for i, count in enumerate((1, 7, 3, 1, 5, 2)):
+            src = f"s{5 - i} w{i}" if i % 2 else f"s{5 - i}"
+            rows = [PhraseTableEntry(src, f"t{j}", *rng.uniform(1e-7, 1.0, size=4))
+                    for j in range(count)]
+            entries[src] = tuple(sorted(rows, key=lambda e: (-e.phi_fwd, e.tgt)))
+        p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
+        table_of(entries).write(p1)
+        table = PhraseTable.read(p1)
+        table.write(p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        # Sources sorted, each source's entries in table order.
+        lines = [line.split(" ||| ")[:2] for line in p1.read_text(encoding="utf-8").splitlines()]
+        assert lines == [[s, e.tgt] for s in sorted(entries) for e in entries[s]]
+        assert [len(table.entries[s]) for s in sorted(entries)] == [
+            len(entries[s]) for s in sorted(entries)
+        ]
+        assert sum(len(v) for v in table.entries.values()) == len(table) == 19
+
+    def test_interleaved_sources_read_like_the_grouped_file(self, tmp_path):
+        lines = [
+            "b ||| y ||| 0.5 0.5 0.5 0.5\n",
+            "a ||| x ||| 0.25 0.5 0.5 0.5\n",
+            "b ||| x ||| 0.125 0.5 0.5 0.5\n",
+            "c d ||| z ||| 1 1 1 1\n",
+            "a ||| y z ||| 0.75 0.5 0.5 0.5\n",
+            "b ||| w ||| 0.0625 0.5 0.5 0.5\n",
+        ]
+        grouped = sorted(lines, key=lambda line: line.split(" ||| ")[0])
+        (tmp_path / "mixed.txt").write_text("".join(lines), encoding="utf-8")
+        (tmp_path / "grouped.txt").write_text("".join(grouped), encoding="utf-8")
+        mixed = PhraseTable.read(tmp_path / "mixed.txt")
+        assert mixed.entries == PhraseTable.read(tmp_path / "grouped.txt").entries
+        assert [e.tgt for e in mixed.entries["a"]] == ["x", "y z"]
+        assert [e.tgt for e in mixed.entries["b"]] == ["y", "x", "w"]
+        assert [tgt for tgt, _, _ in mixed.log_options("b")] == ["y", "x", "w"]
+        assert mixed.log_options("a")[1][2] == (math.log(0.75),) + (math.log(0.5),) * 3
+        # Round-robin over six sources of 20 entries each.
+        rng = np.random.default_rng(57)
+        entries = {
+            f"s{i}": tuple(PhraseTableEntry(f"s{i}", f"t{j}", *rng.uniform(0.01, 1.0, size=4))
+                           for j in range(20))
+            for i in range(6)
+        }
+        table_of(entries).write(tmp_path / "grouped.txt")
+        grouped = (tmp_path / "grouped.txt").read_text(encoding="utf-8").splitlines(True)
+        mixed = [grouped[i * 20 + j] for j in range(20) for i in range(6)]
+        (tmp_path / "mixed.txt").write_text("".join(mixed), encoding="utf-8")
+        back = PhraseTable.read(tmp_path / "mixed.txt")
+        assert back.entries == PhraseTable.read(tmp_path / "grouped.txt").entries
+        assert [[e.tgt for e in back.entries[s]] for s in entries] == [
+            [f"t{j}" for j in range(20)]
+        ] * 6
 
     @pytest.mark.parametrize("line, message", [
         ("a ||| x\n", "expected 3 '|||' fields"),
@@ -330,7 +388,7 @@ class TestBuildPhraseTable:
         wt_fwd = word_translation_table(fwd, tau)
         wt_rev = word_translation_table(rev, tau)
         table = build_phrase_table(fwd, rev, tau, tau, wt_fwd, wt_rev)
-        opts = table.options(["a"])
+        opts = table.entries["a"]
         assert [e.tgt for e in opts] == ["x", "y"]
         want = floored_probs(softmax_scores(np.array([0.9, 0.3]), 0.5))
         np.testing.assert_allclose([e.phi_fwd for e in opts], want, atol=1e-12)
@@ -345,7 +403,7 @@ class TestBuildPhraseTable:
         wt = word_translation_table(fwd, tau)
         table = build_phrase_table(fwd, rev, tau, tau, wt, word_translation_table(rev, tau))
         np.testing.assert_allclose(
-            sum(e.phi_fwd for e in table.options(["a"])), 1.0, atol=1e-9
+            sum(e.phi_fwd for e in table.entries["a"]), 1.0, atol=1e-9
         )
 
 
@@ -358,9 +416,36 @@ class TestInduceTables:
         assert set(result.table_fwd.entries) == set(src.vocab)
         assert set(result.table_rev.entries) == set(tgt.vocab)
         for phrase in src.vocab:
-            opts = result.table_fwd.options([phrase])
+            opts = result.table_fwd.entries[phrase]
             assert len(opts) == 5
             np.testing.assert_allclose(sum(e.phi_fwd for e in opts), 1.0, atol=1e-9)
+
+    def test_entry_views_count_every_entry(self, tmp_path):
+        src = unit_store(12, 6, 53, "s")
+        tgt = unit_store(9, 6, 54, "t")
+        result = induce_tables(src, tgt, src, tgt, k=4, reverse_sample=8, seed=2)
+        for table in (result.table_fwd, result.table_rev):
+            table.write(tmp_path / "t.txt")
+            back = PhraseTable.read(tmp_path / "t.txt")
+            for t in (table, back):
+                assert sum(len(v) for v in t.entries.values()) == len(t) == 4 * len(t.src)
+
+    def test_write_then_read_gives_the_written_log_options(self, tmp_path):
+        src = unit_store(12, 6, 55, "s")
+        tgt = unit_store(10, 6, 56, "t")
+        table = induce_tables(src, tgt, src, tgt, k=5, reverse_sample=8, seed=2).table_fwd
+        table.write(tmp_path / "t.txt")
+        back = PhraseTable.read(tmp_path / "t.txt")
+        assert set(back.src) == set(table.src) and back.max_source_words() == 1
+        for phrase in src.vocab:
+            got, written = back.log_options(phrase), table.log_options(phrase)
+            assert [o[:2] for o in got] == [o[:2] for o in written]
+            # The file keeps 6 significant digits of each probability.
+            rounded = [
+                tuple(math.log(float("%.6g" % p)) for p in e[2:]) for e in table.entries[phrase]
+            ]
+            assert [o[2] for o in got] == rounded
+            np.testing.assert_allclose([o[2] for o in got], [o[2] for o in written], atol=1e-5)
 
     def test_deterministic(self):
         src = unit_store(10, 5, 48, "s")

@@ -8,7 +8,6 @@ import pytest
 from lexinduct import (
     EmbeddingStore,
     RetrievalConfig,
-    best_translation,
     induce_dictionary,
     rank_candidates,
     unit_normalize,
@@ -161,10 +160,6 @@ class TestEdgeCases:
 
     def test_all_missing_returns_empty(self):
         assert rank_candidates(self.src, self.tgt, ["zz"], RetrievalConfig()) == []
-
-    def test_best_translation_raises_for_missing(self):
-        with pytest.raises(KeyError):
-            best_translation(self.src, self.tgt, "zz", RetrievalConfig())
 
     def test_induce_dictionary_round_trip(self, tmp_path):
         induced = induce_dictionary(self.src, self.tgt, list(self.src.vocab), RetrievalConfig())

@@ -7,7 +7,6 @@ import pytest
 
 from lexinduct import (
     FeatureWeights,
-    PhraseTable,
     PhraseTableEntry,
     TranslationSystem,
     TunerConfig,
@@ -17,6 +16,7 @@ from lexinduct import (
     tune,
 )
 from lexinduct.tuner import _golden_min
+from oracles import table_of
 
 
 class TestSentenceBleu:
@@ -52,7 +52,7 @@ def identity_system(words, **kw):
     # Monotone decoding keeps the round trip literal; otherwise the language
     # model may legitimately reorder the copied words.
     kw.setdefault("distortion_limit", 0)
-    table = PhraseTable({w: (PhraseTableEntry(w, w, 1.0, 1.0, 1.0, 1.0),) for w in words})
+    table = table_of({w: (PhraseTableEntry(w, w, 1.0, 1.0, 1.0, 1.0),) for w in words})
     lm = train_lm([list(words)] * 2, order=2)
     return TranslationSystem(table, lm, **kw)
 
@@ -126,10 +126,10 @@ def misleading_fixture():
     bwd_entries = {c: (PhraseTableEntry(c, s, 0.9, 0.9, 0.9, 0.9),) for s, c in correct.items()}
     tgt_corpus = [[correct[s] for s in sources]] * 3
     forward = TranslationSystem(
-        PhraseTable(fwd_entries), train_lm(tgt_corpus, order=2), beam=5, distortion_limit=0
+        table_of(fwd_entries), train_lm(tgt_corpus, order=2), beam=5, distortion_limit=0
     )
     backward = TranslationSystem(
-        PhraseTable(bwd_entries), train_lm([list(sources)] * 3, order=2), beam=5,
+        table_of(bwd_entries), train_lm([list(sources)] * 3, order=2), beam=5,
         distortion_limit=0,
     )
     dev = [list(sources), ["s1", "s0"], ["s2", "s2", "s0"]]
