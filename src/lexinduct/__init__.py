@@ -14,7 +14,6 @@ from .aligner import (
     grow_diag_final_and,
     read_links,
     train_ibm2,
-    viterbi_align,
     write_links,
 )
 from .corpus import (
@@ -158,7 +157,6 @@ __all__ = [
     "translate_corpus",
     "tune",
     "unit_normalize",
-    "viterbi_align",
     "write_config",
     "write_corpus",
     "write_embeddings",

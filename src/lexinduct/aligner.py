@@ -9,13 +9,19 @@ source positions of that target position. EM re-estimates the word
 translation table in closed form and improves lambda with a few projected
 gradient steps on the expected complete-data log likelihood, which keeps
 the data log likelihood monotone.
+
+Words are interned to int ids, source id 0 being the null word, and t(f|e)
+is one array over the ascending keys e * (|F| + 1) + f. EM and Viterbi
+work on one block of same-shape pairs at a time. Distances are computed
+from integers, as |i*n - j*m| / (m*n), so an exact Viterbi tie, mirror
+positions included, goes to null and then to the smaller source index.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,30 +30,64 @@ from .fileio import atomic_write
 NULL_WORD = "<null>"
 
 Link = tuple[int, int]
+Pair = tuple[Sequence[str], Sequence[str]]
 
 DEFAULT_ITERATIONS = 5
 DEFAULT_TENSION = 4.0
 DEFAULT_NULL_PROB = 0.08
 DEFAULT_GRAD_STEPS = 8
 
+# Cells, (m + 1) * n per pair, in a block: EM holds a few arrays this size.
+_BLOCK_CELLS = 1 << 16
+
 
 @dataclass
 class AlignmentModel:
-    """Word translation table plus the fitted diagonal tension."""
+    """t(f|e) at the ascending keys e * (len(tgt_ids) + 1) + f, and the
+    diagonal tension. The + 1 leaves target id len(tgt_ids) in no key."""
 
-    translation: dict[str, dict[str, float]]
+    src_ids: dict[str, int]
+    tgt_ids: dict[str, int]
+    keys: np.ndarray
+    probs: np.ndarray
     diagonal_tension: float
     null_prob: float
     log_likelihoods: tuple[float, ...] = ()
 
-    def row(self, word: str) -> dict[str, float]:
-        return self.translation.get(word, {})
+
+def _blocks(pairs: Sequence[Pair], src_ids: dict[str, int], tgt_ids: dict[str, int], grow: bool):
+    """Pairs with a target side as (shape, corpus rows, (b, m+1) source ids
+    led by the null word, (b, n) target ids) blocks, shapes in first-seen
+    order. With `grow` new words join the vocabularies; without, they get
+    the first unused id, which is in no key."""
+    intern = dict.setdefault if grow else dict.get
+    groups: dict[tuple[int, int], list] = {}
+    for row, (src, tgt) in enumerate(pairs):
+        if tgt:
+            s = [0] + [intern(src_ids, w, len(src_ids)) for w in src]
+            t = [intern(tgt_ids, w, len(tgt_ids)) for w in tgt]
+            groups.setdefault((len(src), len(tgt)), []).append((row, s, t))
+    out = []
+    for (m, n), members in groups.items():
+        size = max(1, _BLOCK_CELLS // ((m + 1) * n))
+        for at in range(0, len(members), size):
+            rows, src, tgt = zip(*members[at : at + size])
+            out.append(((m, n), rows, np.array(src, dtype=np.int32), np.array(tgt, dtype=np.int32)))
+    return out
+
+
+def _cell_keys(src: np.ndarray, tgt: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys e * width + f of a block's cells, ascending, and
+    each (b, m+1, n) cell's index into them."""
+    cells = src.astype(np.int64)[:, :, None] * width + tgt[:, None, :]
+    distinct, inverse = np.unique(cells, return_inverse=True)
+    return distinct, inverse.reshape(cells.shape)
 
 
 def _distance_matrix(m: int, n: int) -> np.ndarray:
-    i = np.arange(1, m + 1, dtype=np.float64)[:, None] / m
-    j = np.arange(1, n + 1, dtype=np.float64)[None, :] / n
-    return np.abs(i - j)
+    i = np.arange(1, m + 1, dtype=np.int64)[:, None] * n
+    j = np.arange(1, n + 1, dtype=np.int64)[None, :] * m
+    return np.abs(i - j) / float(m * n)
 
 
 def _prior(m: int, n: int, tension: float, p0: float, dmat: np.ndarray) -> np.ndarray:
@@ -62,7 +102,7 @@ def _prior(m: int, n: int, tension: float, p0: float, dmat: np.ndarray) -> np.nd
 
 
 def train_ibm2(
-    pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
+    pairs: Sequence[Pair],
     iterations: int = DEFAULT_ITERATIONS,
     tension: float = DEFAULT_TENSION,
     null_prob: float = DEFAULT_NULL_PROB,
@@ -79,73 +119,50 @@ def train_ibm2(
         raise ValueError(f"null probability must lie in (0, 1), got {null_prob}")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    corpus = [(tuple(s), tuple(t)) for s, t in pairs]
+    src_ids = {NULL_WORD: 0}
+    tgt_ids: dict[str, int] = {}
+    blocks = _blocks(pairs, src_ids, tgt_ids, grow=True)
+    width = len(tgt_ids) + 1
 
     # Uniform initialization over co-occurring words; the null word co-occurs
     # with every target word.
-    support: dict[str, set[str]] = {NULL_WORD: set()}
-    for src, tgt in corpus:
-        support[NULL_WORD].update(tgt)
-        for e in src:
-            support.setdefault(e, set()).update(tgt)
-    table: dict[str, dict[str, float]] = {
-        e: {f: 1.0 / len(fs) for f in sorted(fs)} for e, fs in support.items() if fs
-    }
+    keys = np.unique(np.concatenate(
+        [np.empty(0, dtype=np.int64)] + [_cell_keys(s, t, width)[0] for _, _, s, t in blocks]
+    ))
+    e_of_key = keys // width
+    probs = 1.0 / np.bincount(e_of_key)[e_of_key]
 
-    dmats: dict[tuple[int, int], np.ndarray] = {}
+    dmats = {shape: _distance_matrix(*shape) for shape, _, _, _ in blocks if shape[0]}
     lam = float(tension)
     history: list[float] = []
 
     for _ in range(iterations):
-        counts: dict[str, dict[str, float]] = {}
+        counts = np.zeros(keys.size, dtype=np.float64)
         a_total = 0.0
         shape_mass: dict[tuple[int, int], np.ndarray] = {}
-        priors: dict[tuple[int, int], np.ndarray] = {}
         ll = 0.0
-        for src, tgt in corpus:
-            m, n = len(src), len(tgt)
-            if n == 0:
-                continue
-            key = (m, n)
-            if key not in dmats:
-                dmats[key] = _distance_matrix(m, n)
-            if key not in priors:
-                if m:
-                    priors[key] = _prior(m, n, lam, null_prob, dmats[key])
-                else:
-                    priors[key] = np.ones((1, n), dtype=np.float64)
-            prior = priors[key]
-            t_mat = np.empty((m + 1, n), dtype=np.float64)
-            rows = [table[NULL_WORD]] + [table[e] for e in src]
-            for r, row in enumerate(rows):
-                t_mat[r] = [row.get(f, 0.0) for f in tgt]
-            joint = prior * t_mat
-            z = joint.sum(axis=0)
+        for shape, _, src, tgt in blocks:
+            m, n = shape
+            prior = _prior(m, n, lam, null_prob, dmats[shape]) if m else np.ones((1, n))
+            distinct, inverse = _cell_keys(src, tgt, width)
+            at = np.searchsorted(keys, distinct)
+            joint = prior * probs[at][inverse]
+            z = joint.sum(axis=1, keepdims=True)
             ll += float(np.log(z).sum())
             gamma = joint / z
-            words = (NULL_WORD,) + src
-            for r, e in enumerate(words):
-                ce = counts.setdefault(e, {})
-                row = gamma[r]
-                for c, f in enumerate(tgt):
-                    ce[f] = ce.get(f, 0.0) + row[c]
+            # A bincount over the block's own keys costs what the block does,
+            # not what the whole table does.
+            counts[at] += np.bincount(inverse.ravel(), gamma.ravel(), at.size)
             if m:
-                a_total += float((gamma[1:] * dmats[key]).sum())
-                mass = gamma[1:].sum(axis=0)
-                if key in shape_mass:
-                    shape_mass[key] += mass
-                else:
-                    shape_mass[key] = mass.copy()
+                post = gamma[:, 1:]
+                a_total += float((post * dmats[shape]).sum())
+                mass = post.sum(axis=(0, 1))
+                shape_mass[shape] = shape_mass[shape] + mass if shape in shape_mass else mass
         history.append(ll)
-
-        table = {
-            e: {f: c / total for f, c in sorted(row.items())}
-            for e, row in counts.items()
-            if (total := sum(row.values())) > 0.0
-        }
+        probs = counts / np.bincount(e_of_key, counts)[e_of_key]
         lam = _update_tension(lam, a_total, shape_mass, dmats, grad_steps)
 
-    return AlignmentModel(table, lam, null_prob, tuple(history))
+    return AlignmentModel(src_ids, tgt_ids, keys, probs, lam, null_prob, tuple(history))
 
 
 def _tension_objective(
@@ -196,38 +213,22 @@ def _update_tension(
     return lam
 
 
-def viterbi_align(
-    model: AlignmentModel, src: Sequence[str], tgt: Sequence[str]
-) -> set[Link]:
-    """Best source link per target word; a null-best word gets no link.
-
-    The null hypothesis is scanned first and real sources in ascending
-    order, each replacing the incumbent only on a strictly better score, so
-    ties resolve to null and then to the smaller source index.
-    """
-    m, n = len(src), len(tgt)
-    links: set[Link] = set()
-    if m == 0 or n == 0:
-        return links
-    prior = _prior(m, n, model.diagonal_tension, model.null_prob, _distance_matrix(m, n))
-    null_row = model.row(NULL_WORD)
-    for j, f in enumerate(tgt):
-        best_score = prior[0, j] * null_row.get(f, 0.0)
-        best_i = -1
-        for i, e in enumerate(src):
-            score = prior[i + 1, j] * model.row(e).get(f, 0.0)
-            if score > best_score:
-                best_score = score
-                best_i = i
-        if best_i >= 0:
-            links.add((best_i, j))
-    return links
-
-
-def align_corpus(
-    model: AlignmentModel, pairs: Iterable[tuple[Sequence[str], Sequence[str]]]
-) -> list[set[Link]]:
-    return [viterbi_align(model, s, t) for s, t in pairs]
+def align_corpus(model: AlignmentModel, pairs: Sequence[Pair]) -> list[set[Link]]:
+    """Best source link per target word of each pair; a target word whose
+    best is the null word gets no link, and a tie goes to null and then to
+    the smaller source index. A word pair absent from the model has t = 0."""
+    out: list[set[Link]] = [set() for _ in pairs]
+    # A last key above every cell's keeps each position valid; it reads 0.
+    keys, probs = np.append(model.keys, np.iinfo(np.int64).max), np.append(model.probs, 0.0)
+    for (m, n), rows, src, tgt in _blocks(pairs, model.src_ids, model.tgt_ids, grow=False):
+        distinct, inverse = _cell_keys(src, tgt, len(model.tgt_ids) + 1)
+        at = np.searchsorted(keys, distinct)
+        t = np.where(keys[at] == distinct, probs[at], 0.0)[inverse]
+        prior = _prior(m, n, model.diagonal_tension, model.null_prob, _distance_matrix(m, n))
+        best = (prior * t).argmax(axis=1)
+        for row, sources in zip(rows, best.tolist()):
+            out[row] = {(i - 1, j) for j, i in enumerate(sources) if i}
+    return out
 
 
 def grow_diag_final_and(forward: set[Link], reverse: set[Link]) -> set[Link]:

@@ -79,7 +79,7 @@ STAGE_VERSIONS = {
     "tables": 1,
     "tune": 1,
     "translate": 1,
-    "align": 1,
+    "align": 2,
     "symmetrize": 1,
     "extract": 1,
     "dictionary": 1,

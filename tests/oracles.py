@@ -1,20 +1,24 @@
-"""Test oracles and hand-built phrase tables.
+"""Test oracles, hand-built phrase tables and alignment models.
 
-The library computes phrase embeddings, candidate sets, temperatures and
-phrase tables on whole arrays, and the decoder scores derivations
-incrementally. The functions here compute the same things one phrase, one
-entry or one step at a time, from dicts, so that tests can compare the two
-exactly. `table_of` and `single_word_table` build `PhraseTable`s by hand.
+The library computes phrase embeddings, candidate sets, temperatures,
+phrase tables and IBM-2 alignments on whole arrays, and the decoder scores
+derivations incrementally. The functions here compute the same things one
+phrase, one entry, one cell or one step at a time, from dicts, so that
+tests can compare the two exactly. `table_of` and `single_word_table`
+build `PhraseTable`s by hand; `model_of` builds an `AlignmentModel` and
+`translation_of` reads its t(f|e) back as a dict.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from lexinduct import (
     FEATURE_NAMES,
+    AlignmentModel,
     DerivationStep,
     EmbeddingStore,
     FeatureWeights,
@@ -27,6 +31,16 @@ from lexinduct import (
     k_nearest,
     softmax_scores,
     unit_normalize,
+)
+from lexinduct.aligner import (
+    DEFAULT_GRAD_STEPS,
+    DEFAULT_ITERATIONS,
+    DEFAULT_NULL_PROB,
+    DEFAULT_TENSION,
+    NULL_WORD,
+    _distance_matrix,
+    _prior,
+    _update_tension,
 )
 from lexinduct.phrases import (
     DEFAULT_CANDIDATES,
@@ -247,3 +261,150 @@ def feature_score(
     feats[5] = -float(len(output))
     feats[6] = -float(len(steps))
     return feats, float(feats @ weights.as_array())
+
+
+def model_of(
+    translation: Mapping[str, Mapping[str, float]], tension: float, null_prob: float
+) -> AlignmentModel:
+    """An AlignmentModel with t(f|e) = translation[e][f] and the null word
+    as source id 0, whether or not `translation` has a row for it."""
+    src_ids = {NULL_WORD: 0}
+    tgt_ids: dict[str, int] = {}
+    cells = {}
+    for e, row in translation.items():
+        for f, p in row.items():
+            key = (src_ids.setdefault(e, len(src_ids)), tgt_ids.setdefault(f, len(tgt_ids)))
+            cells[key] = p
+    width = len(tgt_ids) + 1
+    order = sorted(cells, key=lambda c: c[0] * width + c[1])
+    keys = np.array([e * width + f for e, f in order], dtype=np.int64)
+    probs = np.array([cells[c] for c in order], dtype=np.float64)
+    return AlignmentModel(src_ids, tgt_ids, keys, probs, tension, null_prob)
+
+
+def translation_of(model: AlignmentModel) -> dict[str, dict[str, float]]:
+    """t(f|e) of a model as {e: {f: prob}}, with a row for every source
+    word that co-occurred with some target word."""
+    src = {i: w for w, i in model.src_ids.items()}
+    tgt = {i: w for w, i in model.tgt_ids.items()}
+    width = len(model.tgt_ids) + 1
+    out: dict[str, dict[str, float]] = {}
+    for key, p in zip(model.keys.tolist(), model.probs.tolist()):
+        e, f = divmod(key, width)
+        out.setdefault(src[e], {})[tgt[f]] = p
+    return out
+
+
+@dataclass
+class DictAlignment:
+    """An IBM-2 model as a dict of dicts, t(f|e) = translation[e][f]."""
+
+    translation: dict[str, dict[str, float]]
+    diagonal_tension: float
+    null_prob: float
+    log_likelihoods: tuple[float, ...] = ()
+
+
+def train_ibm2(
+    pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
+    iterations: int = DEFAULT_ITERATIONS,
+    tension: float = DEFAULT_TENSION,
+    null_prob: float = DEFAULT_NULL_PROB,
+    grad_steps: int = DEFAULT_GRAD_STEPS,
+) -> DictAlignment:
+    """IBM-2 EM one pair and one (e, f) cell at a time, updating dicts;
+    `lexinduct.train_ibm2` computes the same model on arrays, one shape
+    bucket at a time."""
+    corpus = [(tuple(s), tuple(t)) for s, t in pairs]
+
+    # Uniform initialization over co-occurring words; the null word co-occurs
+    # with every target word.
+    support: dict[str, set[str]] = {NULL_WORD: set()}
+    for src, tgt in corpus:
+        support[NULL_WORD].update(tgt)
+        for e in src:
+            support.setdefault(e, set()).update(tgt)
+    table: dict[str, dict[str, float]] = {
+        e: {f: 1.0 / len(fs) for f in sorted(fs)} for e, fs in support.items() if fs
+    }
+
+    dmats: dict[tuple[int, int], np.ndarray] = {}
+    lam = float(tension)
+    history: list[float] = []
+
+    for _ in range(iterations):
+        counts: dict[str, dict[str, float]] = {}
+        a_total = 0.0
+        shape_mass: dict[tuple[int, int], np.ndarray] = {}
+        priors: dict[tuple[int, int], np.ndarray] = {}
+        ll = 0.0
+        for src, tgt in corpus:
+            m, n = len(src), len(tgt)
+            if n == 0:
+                continue
+            key = (m, n)
+            if key not in dmats:
+                dmats[key] = _distance_matrix(m, n)
+            if key not in priors:
+                if m:
+                    priors[key] = _prior(m, n, lam, null_prob, dmats[key])
+                else:
+                    priors[key] = np.ones((1, n), dtype=np.float64)
+            prior = priors[key]
+            t_mat = np.empty((m + 1, n), dtype=np.float64)
+            rows = [table[NULL_WORD]] + [table[e] for e in src]
+            for r, row in enumerate(rows):
+                t_mat[r] = [row.get(f, 0.0) for f in tgt]
+            joint = prior * t_mat
+            z = joint.sum(axis=0)
+            ll += float(np.log(z).sum())
+            gamma = joint / z
+            words = (NULL_WORD,) + src
+            for r, e in enumerate(words):
+                ce = counts.setdefault(e, {})
+                row = gamma[r]
+                for c, f in enumerate(tgt):
+                    ce[f] = ce.get(f, 0.0) + row[c]
+            if m:
+                a_total += float((gamma[1:] * dmats[key]).sum())
+                mass = gamma[1:].sum(axis=0)
+                if key in shape_mass:
+                    shape_mass[key] += mass
+                else:
+                    shape_mass[key] = mass.copy()
+        history.append(ll)
+
+        table = {
+            e: {f: c / total for f, c in sorted(row.items())}
+            for e, row in counts.items()
+            if (total := sum(row.values())) > 0.0
+        }
+        lam = _update_tension(lam, a_total, shape_mass, dmats, grad_steps)
+
+    return DictAlignment(table, lam, null_prob, tuple(history))
+
+
+def viterbi_align(model: DictAlignment, src: Sequence[str], tgt: Sequence[str]) -> set[tuple[int, int]]:
+    """Best source link per target word; a null-best word gets no link.
+
+    The null hypothesis is scanned first and real sources in ascending
+    order, each replacing the incumbent only on a strictly better score, so
+    ties resolve to null and then to the smaller source index.
+    """
+    m, n = len(src), len(tgt)
+    links: set[tuple[int, int]] = set()
+    if m == 0 or n == 0:
+        return links
+    prior = _prior(m, n, model.diagonal_tension, model.null_prob, _distance_matrix(m, n))
+    null_row = model.translation.get(NULL_WORD, {})
+    for j, f in enumerate(tgt):
+        best_score = prior[0, j] * null_row.get(f, 0.0)
+        best_i = -1
+        for i, e in enumerate(src):
+            score = prior[i + 1, j] * model.translation.get(e, {}).get(f, 0.0)
+            if score > best_score:
+                best_score = score
+                best_i = i
+        if best_i >= 0:
+            links.add((best_i, j))
+    return links

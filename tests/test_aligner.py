@@ -6,15 +6,15 @@ import random
 import numpy as np
 import pytest
 
+import oracles
 from lexinduct import (
-    AlignmentModel,
     align_corpus,
     grow_diag_final_and,
     read_links,
     train_ibm2,
-    viterbi_align,
     write_links,
 )
+from lexinduct import aligner
 from lexinduct.aligner import (
     NULL_WORD,
     _distance_matrix,
@@ -22,6 +22,7 @@ from lexinduct.aligner import (
     _tension_objective,
     _update_tension,
 )
+from oracles import model_of, translation_of
 
 
 def cipher_pairs(n_sentences, vocab_size=15, seed=0, noise=0.0):
@@ -57,13 +58,28 @@ class TestPriors:
         np.testing.assert_allclose(prior[1:], (1.0 - 0.08) / 4.0, atol=1e-15)
 
 
+class TestExactDistances:
+    def test_equal_distances_are_bitwise_equal(self):
+        for m in range(1, 40):
+            for n in range(1, 40):
+                d = _distance_matrix(m, n)
+                exact = np.abs(
+                    np.arange(1, m + 1)[:, None] * n - np.arange(1, n + 1)[None, :] * m
+                )
+                for j in range(n):
+                    _, first = np.unique(exact[:, j], return_index=True)
+                    _, rounded = np.unique(d[:, j], return_index=True)
+                    assert np.array_equal(first, rounded)
+
+
 class TestTrainIbm2:
     def test_single_pair_closed_form(self):
         model = train_ibm2([(("a",), ("x",))], iterations=2)
-        np.testing.assert_allclose(model.translation["a"]["x"], 1.0, atol=1e-15)
-        np.testing.assert_allclose(model.translation[NULL_WORD]["x"], 1.0, atol=1e-15)
+        table = translation_of(model)
+        np.testing.assert_allclose(table["a"]["x"], 1.0, atol=1e-15)
+        np.testing.assert_allclose(table[NULL_WORD]["x"], 1.0, atol=1e-15)
         np.testing.assert_allclose(model.log_likelihoods, (0.0, 0.0), atol=1e-12)
-        assert viterbi_align(model, ["a"], ["x"]) == {(0, 0)}
+        assert align_corpus(model, [(["a"], ["x"])]) == [{(0, 0)}]
 
     @pytest.mark.parametrize("noise", [0.0, 0.3])
     def test_log_likelihood_non_decreasing(self, noise):
@@ -80,15 +96,15 @@ class TestTrainIbm2:
 
     def test_learns_the_word_mapping(self):
         pairs = cipher_pairs(60, seed=3)
-        model = train_ibm2(pairs, iterations=5)
+        table = translation_of(train_ibm2(pairs, iterations=5))
         for i in range(15):
-            row = model.row(f"s{i}")
+            row = table.get(f"s{i}", {})
             if row:
                 assert max(row, key=row.get) == f"t{i}"
 
     def test_rows_are_distributions(self):
         model = train_ibm2(cipher_pairs(20, seed=4), iterations=3)
-        for row in model.translation.values():
+        for row in translation_of(model).values():
             np.testing.assert_allclose(sum(row.values()), 1.0, atol=1e-9)
 
     def test_tension_stays_non_negative(self):
@@ -120,32 +136,124 @@ class TestCopyCorpus:
         assert identical / total >= 0.99
 
 
+def links(model, src, tgt):
+    return align_corpus(model, [(src, tgt)])[0]
+
+
 class TestViterbi:
     def test_exact_null_tie_gives_no_link(self):
-        model = AlignmentModel(
-            translation={NULL_WORD: {"x": 1.0}, "a": {"x": 1.0}},
-            diagonal_tension=0.0,
-            null_prob=0.5,
-        )
-        assert viterbi_align(model, ["a"], ["x"]) == set()
+        model = model_of({NULL_WORD: {"x": 1.0}, "a": {"x": 1.0}}, 0.0, 0.5)
+        assert links(model, ["a"], ["x"]) == set()
 
     def test_source_tie_resolves_to_smaller_index(self):
-        model = AlignmentModel(
-            translation={NULL_WORD: {}, "a": {"x": 1.0}},
-            diagonal_tension=0.0,
-            null_prob=0.08,
-        )
+        model = model_of({NULL_WORD: {}, "a": {"x": 1.0}}, 0.0, 0.08)
         # Zero tension makes both source positions equally likely.
-        assert viterbi_align(model, ["a", "a"], ["x"]) == {(0, 0)}
+        assert links(model, ["a", "a"], ["x"]) == {(0, 0)}
+
+    def test_mirror_position_tie_resolves_to_smaller_index(self):
+        # Source positions 1 and 9 are both 4/9 from target position 5; in
+        # floats, 1/9 - 5/9 and 9/9 - 5/9 differ in their last bit.
+        model = model_of({NULL_WORD: {"y": 1.0}, "a": {"x": 1.0}, "b": {"y": 1.0}}, 4.0, 0.08)
+        src = "a b b b b b b b a".split()
+        tgt = "y y y y x y y y y".split()
+        assert (0, 4) in links(model, src, tgt)
+        assert (8, 4) not in links(model, src, tgt)
 
     def test_empty_sides(self):
-        model = AlignmentModel({NULL_WORD: {"x": 1.0}}, 4.0, 0.08)
-        assert viterbi_align(model, [], ["x"]) == set()
-        assert viterbi_align(model, ["a"], []) == set()
+        model = model_of({NULL_WORD: {"x": 1.0}}, 4.0, 0.08)
+        assert align_corpus(model, [([], ["x"]), (["a"], [])]) == [set(), set()]
 
     def test_unknown_target_word_unlinked(self):
-        model = AlignmentModel({NULL_WORD: {}, "a": {"x": 1.0}}, 4.0, 0.08)
-        assert viterbi_align(model, ["a"], ["never-seen"]) == set()
+        model = model_of({NULL_WORD: {}, "a": {"x": 1.0}}, 4.0, 0.08)
+        assert links(model, ["a"], ["never-seen"]) == set()
+
+    def test_unknown_words_read_no_neighboring_key(self):
+        # Unknown words read no entry of a neighboring source row, in either
+        # direction, and no entry at all in an empty table.
+        model = model_of({NULL_WORD: {"x": 0.5, "y": 0.5}, "a": {"x": 1.0}}, 4.0, 0.08)
+        assert links(model, ["a"], ["never-seen"]) == set()
+        model = model_of({NULL_WORD: {}, "a": {"y": 1.0}, "b": {"x": 1.0}}, 4.0, 0.08)
+        assert links(model, ["a", "never-seen"], ["never-seen", "x"]) == set()
+        assert links(model_of({}, 4.0, 0.08), ["a"], ["x"]) == set()
+
+    def test_unknown_source_word_unlinked(self):
+        model = model_of({NULL_WORD: {}, "a": {"x": 1.0}}, 4.0, 0.08)
+        assert links(model, ["never-seen", "a"], ["x", "x"]) == {(1, 0), (1, 1)}
+        assert links(model, ["never-seen"], ["x"]) == set()
+
+    def test_links_follow_the_input_order_across_shapes(self):
+        model = model_of({NULL_WORD: {}, "a": {"x": 1.0}, "b": {"y": 1.0}}, 4.0, 0.08)
+        pairs = [(["a", "b"], ["y", "x"]), (["b"], ["y"]), ([], []), (["a", "b"], ["x", "y"])]
+        assert align_corpus(model, pairs) == [{(1, 0), (0, 1)}, {(0, 0)}, set(), {(0, 0), (1, 1)}]
+
+
+def oracle_pairs(noise, seed=9):
+    """Cipher pairs of many shapes, with empty sides, single words and
+    repeated words among them."""
+    pairs = cipher_pairs(60, vocab_size=6, seed=seed, noise=noise)
+    pairs += [
+        ([], ["t1", "t2"]), (["s1", "s2"], []), ([], []), (["s3"], ["t3"]),
+        (["s4", "s4", "s4"], ["t4", "t4"]), (["s5"] * 6, ["t5"] * 6),
+        (["s0", "s1", "s0"], ["t0"]), (["s2"], ["t2", "t2", "t0", "t2"]),
+    ]
+    random.Random(seed).shuffle(pairs)
+    return pairs
+
+
+def assert_matches_oracle(pairs, **kwargs):
+    model = train_ibm2(pairs, **kwargs)
+    want = oracles.train_ibm2(pairs, **kwargs)
+    np.testing.assert_allclose(model.log_likelihoods, want.log_likelihoods, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(model.diagonal_tension, want.diagonal_tension, rtol=1e-12, atol=0)
+    table = translation_of(model)
+    assert {e: set(row) for e, row in table.items()} == {
+        e: set(row) for e, row in want.translation.items()
+    }
+    for e, row in table.items():
+        for f, p in row.items():
+            assert abs(p - want.translation[e][f]) <= 1e-12
+    assert align_corpus(model, pairs) == [oracles.viterbi_align(want, s, t) for s, t in pairs]
+
+
+class TestMatchesDictOracle:
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    def test_model_and_links_match(self, noise):
+        assert_matches_oracle(oracle_pairs(noise), iterations=5)
+
+    def test_low_tension_start(self):
+        assert_matches_oracle(oracle_pairs(0.3, seed=10), iterations=4, tension=0.5)
+
+    @pytest.mark.parametrize("cells", [1, 7, 40])
+    def test_bucket_spanning_several_blocks(self, monkeypatch, cells):
+        pairs = oracle_pairs(0.3) + [(["s1", "s2"], ["t1", "t2"])] * 30
+        monkeypatch.setattr(aligner, "_BLOCK_CELLS", cells)
+        shapes = [shape for shape, *_ in aligner._blocks(pairs, {NULL_WORD: 0}, {}, grow=True)]
+        assert len(shapes) > len(set(shapes))
+        assert_matches_oracle(pairs, iterations=3)
+
+    def test_block_accumulation_scales_with_the_block(self, monkeypatch):
+        # Every E-step block adds its counts through a bincount; over its own
+        # keys, all of them together produce at most one value per cell.
+        pairs = cipher_pairs(200, vocab_size=40, seed=11, noise=0.5)
+        monkeypatch.setattr(aligner, "_BLOCK_CELLS", 1)
+        produced = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def bincount(*args, **kwargs):
+                out = np.bincount(*args, **kwargs)
+                produced.append(out.size)
+                return out
+
+        monkeypatch.setattr(aligner, "np", CountingNumpy())
+        model = train_ibm2(pairs, iterations=2)
+        cells = sum((len(s) + 1) * len(t) for s, t in pairs)
+        blocks = sum(1 for _, t in pairs if t)
+        assert model.keys.size * blocks > 20 * cells
+        assert sum(produced) <= 2 * cells + 3 * len(model.src_ids)
 
 
 class TestGrowDiagFinalAnd:
