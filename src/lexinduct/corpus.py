@@ -126,10 +126,6 @@ class NGramCounts:
         if self.order < 1:
             raise ValueError(f"order must be >= 1, got {self.order}")
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
 
 def count_ngrams(corpus: Corpus | Iterable[Sequence[str]], max_n: int) -> dict[int, NGramCounts]:
     """Count n-grams for every order 1..max_n.

@@ -4,7 +4,8 @@ Vectors are held in float32 (the text format's precision); every similarity
 is accumulated in float64 so scores are reproducible and stable. Nearest
 neighbor lists are exact: brute-force blocked matrix products with a pinned
 tie-break (higher cosine first, then ascending token), selected a block of
-queries at a time and returned as arrays (`Neighbors`).
+queries at a time and returned as arrays (`Neighbors`). The selection,
+`top_k`, takes any score rows; the retrieval methods rank through it too.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import logging
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable
 
 import numpy as np
 
@@ -30,9 +31,6 @@ class ScoredCandidates:
 
     query: str
     candidates: tuple[tuple[str, float], ...]
-
-    def tokens(self) -> list[str]:
-        return [t for t, _ in self.candidates]
 
     def best(self) -> str:
         return self.candidates[0][0]
@@ -73,9 +71,6 @@ class EmbeddingStore:
 
     def __contains__(self, token: str) -> bool:
         return token in self._index
-
-    def row(self, token: str) -> np.ndarray:
-        return self.vectors[self._index[token]]
 
     def indices(self, tokens: Iterable[str]) -> np.ndarray:
         return np.array([self._index[t] for t in tokens], dtype=np.int64)
@@ -211,25 +206,6 @@ def cosine_matrix(src: EmbeddingStore, tgt: EmbeddingStore, rows: np.ndarray | N
     return a.astype(np.float64) @ tgt.vectors.astype(np.float64).T
 
 
-def _top_k_indices(scores: np.ndarray, lexrank: np.ndarray, k: int) -> np.ndarray:
-    """Exact top-k of one score row under (score desc, lexrank asc).
-
-    The per-row reference for `_top_k_rows`, which falls back to it for rows
-    whose k-th score is tied outside the partition.
-    """
-    n = scores.shape[0]
-    if k >= n:
-        return np.lexsort((lexrank, -scores))
-    part = np.argpartition(-scores, k - 1)[:k]
-    kth = scores[part].min()
-    above = np.nonzero(scores > kth)[0]
-    tied = np.nonzero(scores == kth)[0]
-    need = k - above.size
-    tied = tied[np.argsort(lexrank[tied], kind="stable")][:need]
-    chosen = np.concatenate([above, tied])
-    return chosen[np.lexsort((lexrank[chosen], -scores[chosen]))]
-
-
 # Rows per top-k selection: its (rows, len(tgt)) index array is as large as
 # the scores it ranks, so selecting a whole cosine block at once would double
 # the block's memory.
@@ -237,12 +213,12 @@ _SELECT_ROWS = 64
 
 
 def _top_k_rows(scores: np.ndarray, lexrank: np.ndarray, k: int) -> np.ndarray:
-    """`_top_k_indices` for every row of a (rows, n) score block at once.
+    """Exact top-k columns of each row of a (rows, n) score block.
 
     One argpartition picks k columns per row and a 2-D lexsort puts them in
     (score desc, lexrank asc) order. The partition's choice among columns
     that tie at the k-th score is arbitrary, so a row where the k-th score
-    also occurs outside the picked columns is redone by `_top_k_indices`.
+    also occurs outside the picked columns is sorted in full instead.
     """
     n = scores.shape[1]
     if k >= n:
@@ -252,8 +228,7 @@ def _top_k_rows(scores: np.ndarray, lexrank: np.ndarray, k: int) -> np.ndarray:
     chosen = np.take_along_axis(picked, np.lexsort((lexrank[picked], -top), axis=1), axis=1)
     kth = top.min(axis=1, keepdims=True)
     split_tie = (scores == kth).sum(axis=1) > (top == kth).sum(axis=1)
-    for row in np.nonzero(split_tie)[0]:
-        chosen[row] = _top_k_indices(scores[row], lexrank, k)
+    chosen[split_tie] = _top_k_rows(scores[split_tie], lexrank, n)[:, :k]
     return chosen
 
 
@@ -261,7 +236,8 @@ def _top_k_rows(scores: np.ndarray, lexrank: np.ndarray, k: int) -> np.ndarray:
 class Neighbors(Sequence):
     """k nearest targets per query, held as arrays.
 
-    Row i ranks `targets[idx[i, j]]` with cosine `scores[i, j]`, best first.
+    Row i ranks `targets[idx[i, j]]` with score `scores[i, j]` (the cosine
+    for `k_nearest`), best first.
     Indexing yields the row as ScoredCandidates.
     """
 
@@ -276,6 +252,39 @@ class Neighbors(Sequence):
     def __getitem__(self, i: int) -> ScoredCandidates:
         tokens = (self.targets[j] for j in self.idx[i].tolist())
         return ScoredCandidates(self.queries[i], tuple(zip(tokens, self.scores[i].tolist())))
+
+
+def top_k(
+    queries: Sequence[str],
+    rows: np.ndarray,
+    tgt: EmbeddingStore,
+    k: int,
+    score_rows: Callable[[np.ndarray], np.ndarray],
+    order_rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    block: int = 512,
+) -> Neighbors:
+    """The k best targets of each query, `block` source rows at a time.
+
+    `rows[i]` is the source row of `queries[i]`, and `score_rows(r)` gives
+    the (len(r), len(tgt)) scores of source rows `r`. Targets rank by (score
+    desc, token asc), or by `order_rows(r, scores)`, each row's full target
+    order, when that is given. k is at most len(tgt).
+    """
+    lexrank = tgt.lexrank()
+    idx = np.empty((len(rows), k), dtype=np.int64)
+    scores = np.empty((len(rows), k), dtype=np.float64)
+    for start in range(0, len(rows), block):
+        block_scores = score_rows(rows[start : start + block])
+        for sub in range(0, len(block_scores), _SELECT_ROWS):
+            at = start + sub
+            part = block_scores[sub : sub + _SELECT_ROWS]
+            if order_rows is None:
+                top = _top_k_rows(part, lexrank, k)
+            else:
+                top = order_rows(rows[at : at + len(part)], part)[:, :k]
+            idx[at : at + len(top)] = top
+            scores[at : at + len(top)] = np.take_along_axis(part, top, axis=1)
+    return Neighbors(tuple(queries), tgt.vocab, idx, scores)
 
 
 def k_nearest(
@@ -301,16 +310,5 @@ def k_nearest(
     missing = [q for q in queries if q not in src]
     if missing:
         raise KeyError(f"query token {missing[0]!r} not in source store")
-    lexrank = tgt.lexrank()
     rows = src.indices(queries)
-    idx = np.empty((len(rows), k), dtype=np.int64)
-    scores = np.empty((len(rows), k), dtype=np.float64)
-    for start in range(0, len(rows), block):
-        block_scores = cosine_matrix(src, tgt, rows[start : start + block])
-        for sub in range(0, len(block_scores), _SELECT_ROWS):
-            part = block_scores[sub : sub + _SELECT_ROWS]
-            top = _top_k_rows(part, lexrank, k)
-            at = start + sub
-            idx[at : at + len(top)] = top
-            scores[at : at + len(top)] = np.take_along_axis(part, top, axis=1)
-    return Neighbors(tuple(queries), tgt.vocab, idx, scores)
+    return top_k(queries, rows, tgt, k, lambda r: cosine_matrix(src, tgt, r), block=block)

@@ -3,12 +3,14 @@
 Every file the pipeline writes goes through `atomic_write`: the content is
 written to a temporary file in the same directory and renamed over the
 target only once it is complete, so a failed or killed writer never leaves
-a truncated output behind.
+a truncated output behind. A writer killed outright (SIGKILL) cannot remove
+its temporary file; `remove_stale_temps` deletes such leftovers.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterator
@@ -34,3 +36,13 @@ def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def remove_stale_temps(root: Path) -> list[Path]:
+    """Delete and return every `atomic_write` temporary under `root`. Call it
+    only while no writer can be at work there: each is then a leftover."""
+    temps = (p for p in root.rglob(".*.tmp") if re.fullmatch(r"\..+\.\d+\.tmp", p.name))
+    stale = [p for p in temps if p.is_file()]
+    for path in stale:
+        path.unlink(missing_ok=True)
+    return stale

@@ -16,7 +16,8 @@ A stage whose manifest matches the current digest (and whose outputs are
 still intact) is skipped, so a re-run with unchanged inputs recomputes
 nothing and a change anywhere upstream invalidates exactly the stages that
 depend on it. A lock on a file in the work dir keeps two pipeline runs out
-of one work dir.
+of one work dir; the run that takes it deletes the temporary files that a
+killed run's writers left.
 
 Each stage with logic of its own (`tables_stage`, `tune_stage`,
 `translate_stage`, `align_stage`) is a module-level function of the config,
@@ -44,7 +45,7 @@ from .corpus import Corpus, count_ngrams, load_corpus, sample_sentences, write_c
 from .decoder import FeatureWeights, TranslationSystem, translate_corpus
 from .embeddings import EmbeddingStore, load_cache, load_embeddings, save_cache, unit_normalize
 from .evaluation import read_gold, precision_at_1
-from .fileio import atomic_write
+from .fileio import atomic_write, remove_stale_temps
 from .lexicon import (
     InducedDictionary,
     count_extractions,
@@ -630,6 +631,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     work_dir.mkdir(parents=True, exist_ok=True)
 
     with _WorkDirLock(work_dir):
+        for stale in remove_stale_temps(work_dir):
+            log.info("removed %s, left by a killed writer", stale)
         runner = _Runner(work_dir, config)
         langs = {
             "src": (Path(config.src_corpus), Path(config.src_embeddings)),

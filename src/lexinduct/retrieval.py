@@ -1,6 +1,7 @@
 """Direct word-translation retrieval over cross-lingual embeddings.
 
-Four methods, all exact and all returning full rankings:
+Four exact methods, each a score row per query; `embeddings.top_k`, shared
+with `k_nearest`, returns the `top` best candidates as `Neighbors`:
 
 - nn: plain cosine nearest neighbor.
 - inv_nn: rank the query among all source words by cosine to each target,
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingStore, ScoredCandidates, unit_normalize
+from .embeddings import EmbeddingStore, Neighbors, cosine_matrix, top_k, unit_normalize
 from .lexicon import InducedDictionary
 
 log = logging.getLogger(__name__)
@@ -56,23 +57,18 @@ def _mean_topk(matrix: np.ndarray, k: int, axis: int) -> np.ndarray:
     return part[size - k :, :].mean(axis=0)
 
 
-def _full_cosines(src: EmbeddingStore, tgt: EmbeddingStore) -> np.ndarray:
-    return src.vectors.astype(np.float64) @ tgt.vectors.astype(np.float64).T
-
-
 def rank_candidates(
     src: EmbeddingStore,
     tgt: EmbeddingStore,
     queries: list[str],
     config: RetrievalConfig,
     top: int | None = None,
-) -> list[ScoredCandidates]:
-    """Target ranking for each query under the configured method.
+) -> Neighbors:
+    """The `top` best targets (None: all) of each query found in `src` under
+    the configured method, as `Neighbors`, the type `k_nearest` returns.
 
     Builds the complete source x target cosine matrix, so memory grows with
-    both vocabularies; meant for evaluation-sized stores. `top` keeps only
-    the best `top` candidates per query (None keeps the full ranking); the
-    ordering is computed over all targets either way.
+    both vocabularies; meant for evaluation-sized stores.
     """
     if top is not None and top < 1:
         raise ValueError("top must be >= 1 when given")
@@ -84,67 +80,51 @@ def rank_candidates(
     for q in queries:
         if q not in src:
             log.warning("query %r not in source store; skipped (copy back-off applies)", q)
-    if not present:
-        return []
 
-    cos = _full_cosines(src, tgt)
-    q_rows = src.indices(present)
-    lexrank = tgt.lexrank()
-    results: list[ScoredCandidates] = []
+    k = len(tgt) if top is None else min(top, len(tgt))
+    if not present:
+        return Neighbors((), tgt.vocab, np.empty((0, k), dtype=np.int64), np.empty((0, k)))
+
+    cos = cosine_matrix(src, tgt)
+    order_rows = None
 
     if config.method == "nn":
-        for q, row in zip(present, q_rows):
-            scores = cos[row]
-            order = np.lexsort((lexrank, -scores))
-            results.append(_scored(q, tgt, scores, order, top))
+        def score_rows(rows):
+            return cos[rows]
 
     elif config.method == "inv_nn":
-        n_src = cos.shape[0]
-        col_sorted = np.sort(cos, axis=0)
-        rows = cos[q_rows]
-        ranks_all = np.empty(rows.shape, dtype=np.int64)
-        for y in range(cos.shape[1]):
-            greater = n_src - np.searchsorted(col_sorted[:, y], rows[:, y], side="right")
-            ranks_all[:, y] = 1 + greater
-        for i, q in enumerate(present):
-            scores = rows[i]
-            ranks = ranks_all[i]
-            order = np.lexsort((lexrank, -scores, ranks))
-            results.append(_scored(q, tgt, -ranks.astype(np.float64), order, top))
+        col_sorted = np.sort(cos.T, axis=1)
+
+        def score_rows(rows):
+            # Minus the rank: rank = 1 + the cosines above it in its column
+            # = len(cos) + 1 - the cosines at most it.
+            at_most = np.empty((len(rows), len(col_sorted)))
+            for y, col in enumerate(col_sorted):
+                at_most[:, y] = np.searchsorted(col, cos[rows, y], side="right")
+            return at_most - (len(cos) + 1.0)
+
+        def order_rows(rows, neg_ranks):
+            # Best (lowest) rank first, ties by higher cosine, then token.
+            keys = (np.broadcast_to(tgt.lexrank(), neg_ranks.shape), -cos[rows], -neg_ranks)
+            return np.lexsort(keys, axis=1)
 
     elif config.method == "inv_softmax":
         t = config.softmax_temperature
         scaled = t * cos
         col_max = scaled.max(axis=0)
         log_z = col_max + np.log(np.exp(scaled - col_max).sum(axis=0))
-        for q, row in zip(present, q_rows):
-            scores = scaled[row] - log_z
-            order = np.lexsort((lexrank, -scores))
-            results.append(_scored(q, tgt, scores, order, top))
+
+        def score_rows(rows):
+            return scaled[rows] - log_z
 
     else:  # csls
         r_tgt = _mean_topk(cos, config.csls_k, axis=1)
         r_src = _mean_topk(cos, config.csls_k, axis=0)
-        for q, row in zip(present, q_rows):
-            scores = 2.0 * cos[row] - r_tgt[row] - r_src
-            order = np.lexsort((lexrank, -scores))
-            results.append(_scored(q, tgt, scores, order, top))
 
-    return results
+        def score_rows(rows):
+            return 2.0 * cos[rows] - r_tgt[rows, None] - r_src
 
-
-def _scored(
-    query: str,
-    tgt: EmbeddingStore,
-    scores: np.ndarray,
-    order: np.ndarray,
-    top: int | None,
-) -> ScoredCandidates:
-    if top is not None:
-        order = order[:top]
-    kept = order.tolist()
-    values = scores[order].tolist()
-    return ScoredCandidates(query, tuple(zip((tgt.vocab[j] for j in kept), values)))
+    return top_k(present, src.indices(present), tgt, k, score_rows, order_rows)
 
 
 def induce_dictionary(

@@ -4,7 +4,8 @@ The library computes phrase embeddings, candidate sets, temperatures,
 phrase tables and IBM-2 alignments on whole arrays, and the decoder scores
 derivations incrementally. The functions here compute the same things one
 phrase, one entry, one cell or one step at a time, from dicts, so that
-tests can compare the two exactly. `table_of` and `single_word_table`
+tests can compare the two exactly; `top_k_indices` selects top-k one score
+row at a time and `rank_candidates` ranks every target one query at a time. `table_of` and `single_word_table`
 build `PhraseTable`s by hand; `model_of` builds an `AlignmentModel` and
 `translation_of` reads its t(f|e) back as a dict.
 """
@@ -25,6 +26,7 @@ from lexinduct import (
     NGramModel,
     PhraseTable,
     PhraseTableEntry,
+    RetrievalConfig,
     ScoredCandidates,
     TemperatureParam,
     floored_probs,
@@ -54,6 +56,7 @@ from lexinduct.phrases import (
     _sample_rows,
     phrase_key,
 )
+from lexinduct.retrieval import _mean_topk
 
 
 def table_of(entries: Mapping[str, Sequence[PhraseTableEntry]]) -> PhraseTable:
@@ -408,3 +411,92 @@ def viterbi_align(model: DictAlignment, src: Sequence[str], tgt: Sequence[str]) 
         if best_i >= 0:
             links.add((best_i, j))
     return links
+
+
+def top_k_indices(scores: np.ndarray, lexrank: np.ndarray, k: int) -> np.ndarray:
+    """Exact top-k of one score row under (score desc, lexrank asc), the
+    per-row reference for `embeddings._top_k_rows`."""
+    n = scores.shape[0]
+    if k >= n:
+        return np.lexsort((lexrank, -scores))
+    part = np.argpartition(-scores, k - 1)[:k]
+    kth = scores[part].min()
+    above = np.nonzero(scores > kth)[0]
+    tied = np.nonzero(scores == kth)[0]
+    need = k - above.size
+    tied = tied[np.argsort(lexrank[tied], kind="stable")][:need]
+    chosen = np.concatenate([above, tied])
+    return chosen[np.lexsort((lexrank[chosen], -scores[chosen]))]
+
+
+def rank_candidates(
+    src: EmbeddingStore,
+    tgt: EmbeddingStore,
+    queries: list[str],
+    config: RetrievalConfig,
+    top: int | None = None,
+) -> list[ScoredCandidates]:
+    """The library's `rank_candidates`, one query at a time: each query
+    lexsorts every target. Stores must be unit-normalized."""
+    present = [q for q in queries if q in src]
+    if not present:
+        return []
+
+    cos = src.vectors.astype(np.float64) @ tgt.vectors.astype(np.float64).T
+    q_rows = src.indices(present)
+    lexrank = tgt.lexrank()
+    results: list[ScoredCandidates] = []
+
+    if config.method == "nn":
+        for q, row in zip(present, q_rows):
+            scores = cos[row]
+            order = np.lexsort((lexrank, -scores))
+            results.append(_scored(q, tgt, scores, order, top))
+
+    elif config.method == "inv_nn":
+        n_src = cos.shape[0]
+        col_sorted = np.sort(cos, axis=0)
+        rows = cos[q_rows]
+        ranks_all = np.empty(rows.shape, dtype=np.int64)
+        for y in range(cos.shape[1]):
+            greater = n_src - np.searchsorted(col_sorted[:, y], rows[:, y], side="right")
+            ranks_all[:, y] = 1 + greater
+        for i, q in enumerate(present):
+            scores = rows[i]
+            ranks = ranks_all[i]
+            order = np.lexsort((lexrank, -scores, ranks))
+            results.append(_scored(q, tgt, -ranks.astype(np.float64), order, top))
+
+    elif config.method == "inv_softmax":
+        t = config.softmax_temperature
+        scaled = t * cos
+        col_max = scaled.max(axis=0)
+        log_z = col_max + np.log(np.exp(scaled - col_max).sum(axis=0))
+        for q, row in zip(present, q_rows):
+            scores = scaled[row] - log_z
+            order = np.lexsort((lexrank, -scores))
+            results.append(_scored(q, tgt, scores, order, top))
+
+    else:  # csls
+        r_tgt = _mean_topk(cos, config.csls_k, axis=1)
+        r_src = _mean_topk(cos, config.csls_k, axis=0)
+        for q, row in zip(present, q_rows):
+            scores = 2.0 * cos[row] - r_tgt[row] - r_src
+            order = np.lexsort((lexrank, -scores))
+            results.append(_scored(q, tgt, scores, order, top))
+
+    return results
+
+
+def _scored(
+    query: str,
+    tgt: EmbeddingStore,
+    scores: np.ndarray,
+    order: np.ndarray,
+    top: int | None,
+) -> ScoredCandidates:
+    if top is not None:
+        order = order[:top]
+    kept = order.tolist()
+    values = scores[order].tolist()
+    return ScoredCandidates(query, tuple(zip((tgt.vocab[j] for j in kept), values)))

@@ -2,7 +2,7 @@
 
 Each test guards one headline guarantee and prints a single
 "[criterion N] PASS/FAIL" line to the real stdout so the verdicts stay
-visible in captured pytest runs. Criteria 3, 9, and 10 run the full
+visible in captured pytest runs. Criteria 3, 9, 10 and 11 run the full
 pipeline on the synthetic cipher benchmark; the rest pin component
 behavior against brute-force oracles and hand-worked values.
 """
@@ -404,6 +404,39 @@ class TestAcceptance:
             10,
             passed,
             f"dictionaries identical {same_dict}, reports identical {same_report}",
+        )
+
+    def test_criterion_11_pipeline_beats_nn_and_csls_by_the_paper_margins(self, tmp_path_factory):
+        """The paper's claim on the same embeddings: pipeline P@1 at least
+        CSLS + 0.04 and NN + 0.06. Noise 0.8 keeps retrieval well below the
+        ceiling, so a pipeline that adds nothing over retrieval fails."""
+        root = tmp_path_factory.mktemp("acceptance_margin")
+        fixture = conftest.make_cipher(
+            root / "data", vocab=300, sentences=1500, noise=0.8, min_len=4, max_len=9
+        )
+        config = cipher_config(
+            fixture, root / "work", vocab_size=300, ngram_cap=800, corpus_cap=300,
+            dev_size=16, sweeps=1, golden_iterations=1,
+        )
+        start = time.perf_counter()
+        pipeline_p = run_pipeline(config).directions["src2tgt"].p_at_1
+        seconds = time.perf_counter() - start
+        gold = read_gold(fixture.gold)
+        src = load_embeddings(fixture.src_embeddings)
+        tgt = load_embeddings(fixture.tgt_embeddings)
+        baseline = {
+            method: precision_at_1(
+                induce_dictionary(src, tgt, sorted(gold.entries), RetrievalConfig(method=method), top=10),
+                gold,
+            )[0]
+            for method in ("nn", "csls")
+        }
+        passed = pipeline_p >= baseline["csls"] + 0.04 and pipeline_p >= baseline["nn"] + 0.06
+        report(
+            11,
+            passed,
+            f"P@1 {pipeline_p:.4f}, csls {baseline['csls']:.4f}, nn {baseline['nn']:.4f}, "
+            f"{seconds:.1f}s",
         )
 
 

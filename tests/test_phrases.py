@@ -72,7 +72,7 @@ class TestPhraseEmbedding:
     def test_single_word_is_its_unit_vector(self):
         words = unit_store(5, 8, 31)
         got = phrase_embedding(("w002",), words)
-        np.testing.assert_allclose(got, words.row("w002"), atol=2e-7)
+        np.testing.assert_allclose(got, words.vectors[words.indices(["w002"])[0]], atol=2e-7)
 
     def test_mean_is_renormalized(self):
         words = unit_store(5, 8, 32)
@@ -102,7 +102,9 @@ class TestPhraseStore:
         assert store.vocab == tuple(sorted(" ".join(p) for p in inv.phrases))
         for phrase in inv.phrases:
             np.testing.assert_allclose(
-                store.row(" ".join(phrase)), phrase_embedding(phrase, words), atol=2e-7
+                store.vectors[store.indices([" ".join(phrase)])[0]],
+                phrase_embedding(phrase, words),
+                atol=2e-7,
             )
 
     def test_oov_phrases_dropped(self):

@@ -280,6 +280,23 @@ class TestLocking:
             assert os.fstat(lock.fd).st_ino == os.stat(work / LOCK_NAME).st_ino
         assert not (work / LOCK_NAME).exists()
 
+    def test_temporary_file_of_a_killed_writer_is_removed(self, tmp_path):
+        fx = micro(tmp_path / "data")
+        work = tmp_path / "work"
+        config = micro_config(fx, work)
+        first = run_pipeline(config).directions["src2tgt"]
+        outputs = {p: p.read_bytes() for p in (first.dictionary_path, first.report_path)}
+        # What SIGKILL leaves mid-write: atomic_write's temporary, never renamed.
+        planted = work / "src2tgt" / f".{first.dictionary_path.name}.99999.tmp"
+        planted.write_text("s000\tt0", encoding="utf-8")
+        unrelated = work / "notes.tmp"
+        unrelated.write_text("kept", encoding="utf-8")
+        again = run_pipeline(config)
+        assert not planted.exists()
+        assert unrelated.exists()
+        assert again.ran() == []
+        assert {p: p.read_bytes() for p in outputs} == outputs
+
     def test_lock_removed_after_success(self, tmp_path):
         fx = micro(tmp_path / "data")
         work = tmp_path / "work"

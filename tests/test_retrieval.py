@@ -13,6 +13,7 @@ from lexinduct import (
     unit_normalize,
 )
 from lexinduct.retrieval import METHODS
+from oracles import rank_candidates as rank_per_query
 
 
 def normalized_store(vectors, prefix):
@@ -63,7 +64,7 @@ class TestAgainstReference:
             results = rank_candidates(src, tgt, list(src.vocab), config)
             for row, res in enumerate(results):
                 want = reference_order(cos, row, tgt.vocab, config)
-                assert res.tokens() == [tgt.vocab[y] for y in want]
+                assert [t for t, _ in res.candidates] == [tgt.vocab[y] for y in want]
 
     @pytest.mark.parametrize("method", METHODS)
     def test_unnormalized_input_handled(self, method):
@@ -77,7 +78,36 @@ class TestAgainstReference:
         norm = rank_candidates(
             unit_normalize(raw_s), unit_normalize(raw_t), list(raw_s.vocab), config
         )
-        assert [r.tokens() for r in raw] == [r.tokens() for r in norm]
+        assert [[t for t, _ in r.candidates] for r in raw] == [
+            [t for t, _ in r.candidates] for r in norm
+        ]
+
+
+class TestAgainstPerQueryOracle:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_candidate_and_score_equal_with_ties_at_the_kth_place(self, method):
+        rng = np.random.default_rng(25)
+        src = normalized_store(rng.normal(size=(170, 6)), "s")
+        # Targets repeat some vectors under other tokens, so their scores tie
+        # exactly under every method; shuffled names make the token order
+        # differ from the row order.
+        base = rng.normal(size=(30, 6))
+        vectors = np.vstack([base, base[:12], base[3:8], base[3:8]])
+        names = rng.permutation(len(vectors))
+        tgt = unit_normalize(EmbeddingStore(
+            tuple(f"t{i:03d}" for i in names), vectors.astype(np.float32)
+        ))
+        queries = list(src.vocab) + ["absent", "s004"]
+        config = RetrievalConfig(method=method, softmax_temperature=10.0, csls_k=4)
+        for top in (None, 1, 3, len(tgt) + 5):
+            got = rank_candidates(src, tgt, queries, config, top=top)
+            want = rank_per_query(src, tgt, queries, config, top=top)
+            assert len(got) == len(want) == len(src) + 1
+            for g, w in zip(got, want):
+                assert g.query == w.query
+                assert g.candidates == w.candidates
+        full = rank_per_query(src, tgt, queries, config)
+        assert sum(r.candidates[2][1] == r.candidates[3][1] for r in full) >= 10
 
 
 class TestHubFixture:
@@ -159,7 +189,7 @@ class TestEdgeCases:
         assert any("nope" in rec.message for rec in caplog.records)
 
     def test_all_missing_returns_empty(self):
-        assert rank_candidates(self.src, self.tgt, ["zz"], RetrievalConfig()) == []
+        assert list(rank_candidates(self.src, self.tgt, ["zz"], RetrievalConfig())) == []
 
     def test_induce_dictionary_round_trip(self, tmp_path):
         induced = induce_dictionary(self.src, self.tgt, list(self.src.vocab), RetrievalConfig())
