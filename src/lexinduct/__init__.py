@@ -20,7 +20,6 @@ from .corpus import (
     Corpus,
     NGramCounts,
     build_vocabulary,
-    corpus_from_sentences,
     count_ngrams,
     load_corpus,
     sample_sentences,
@@ -121,7 +120,6 @@ __all__ = [
     "build_phrase_inventory",
     "build_phrase_store",
     "build_vocabulary",
-    "corpus_from_sentences",
     "cosine_matrix",
     "count_extractions",
     "count_ngrams",

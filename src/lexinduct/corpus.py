@@ -88,17 +88,6 @@ class Corpus:
     def __iter__(self):
         return iter(self.sentences)
 
-    def validate(self) -> None:
-        """Check the token invariant: non-empty, no internal whitespace."""
-        for sent in self.sentences:
-            for tok in sent:
-                if not tok or tok.split() != [tok]:
-                    raise ValueError(f"invalid token {tok!r} in {self.source_path}")
-
-
-def corpus_from_sentences(sentences: Iterable[Sequence[str]], source_path: str = "<memory>") -> Corpus:
-    return Corpus(tuple(tuple(s) for s in sentences), source_path)
-
 
 def load_corpus(path: str | Path, aggressive_hyphens: bool = True, lowercase: bool = True) -> Corpus:
     """Read a UTF-8 text file with one sentence per line and tokenize it."""

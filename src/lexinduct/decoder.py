@@ -140,7 +140,7 @@ def _span_options(
     sentence: Sequence[str],
     table: PhraseTable,
     weights: FeatureWeights,
-    options_limit: int | None,
+    options_limit: int,
 ):
     """Translation options per source span, ranked by weighted
     translation-model score (ties by target phrase), plus copy-through
@@ -160,7 +160,7 @@ def _span_options(
                 for tgt, words, lp in entries
             ]
             ranked.sort(key=lambda c: (-c[0], c[1]))
-            if options_limit is not None and options_limit > 0:
+            if options_limit > 0:
                 ranked = ranked[:options_limit]
             spans.append(((i, j), [(words, lp, tm) for tm, _, words, lp in ranked]))
     have_single = {i for (i, j), _ in spans if j == i + 1}
@@ -207,12 +207,13 @@ def decode(
     weights: FeatureWeights = FeatureWeights(),
     beam: int = DEFAULT_BEAM,
     distortion_limit: int = DEFAULT_DISTORTION_LIMIT,
-    options_limit: int | None = None,
+    options_limit: int = 0,
 ) -> DecodeResult:
     """Best derivation for one sentence. Deterministic for fixed inputs.
 
     Hypotheses recombine on the full (order - 1)-word LM context and carry
-    the LM state next to it; LM scores come from `lm.step`'s memo."""
+    the LM state next to it; LM scores come from `lm.step`'s memo.
+    `options_limit` keeps the best options of each span; 0 keeps them all."""
     if beam < 1:
         raise ValueError(f"beam must be >= 1, got {beam}")
     sentence = tuple(sentence)
@@ -303,7 +304,7 @@ class TranslationSystem:
     weights: FeatureWeights = FeatureWeights()
     beam: int = DEFAULT_BEAM
     distortion_limit: int = DEFAULT_DISTORTION_LIMIT
-    options_limit: int | None = None
+    options_limit: int = 0
     _cache: dict = field(default_factory=dict, repr=False)
 
     def with_weights(self, weights: FeatureWeights) -> "TranslationSystem":

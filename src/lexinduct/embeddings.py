@@ -2,10 +2,11 @@
 
 Vectors are held in float32 (the text format's precision); every similarity
 is accumulated in float64 so scores are reproducible and stable. Nearest
-neighbor lists are exact: brute-force blocked matrix products with a pinned
-tie-break (higher cosine first, then ascending token), selected a block of
-queries at a time and returned as arrays (`Neighbors`). The selection,
-`top_k`, takes any score rows; the retrieval methods rank through it too.
+neighbor lists are exact: brute-force matrix products over fixed blocks of
+queries, ranked by higher cosine first, then ascending token, and returned
+as arrays (`Neighbors`). The selection, `top_k`, ranks by any tuple of keys
+per target, most significant first, with the token as the last tie-break;
+every retrieval method ranks through it too.
 """
 
 from __future__ import annotations
@@ -206,30 +207,35 @@ def cosine_matrix(src: EmbeddingStore, tgt: EmbeddingStore, rows: np.ndarray | N
     return a.astype(np.float64) @ tgt.vectors.astype(np.float64).T
 
 
-# Rows per top-k selection: its (rows, len(tgt)) index array is as large as
-# the scores it ranks, so selecting a whole cosine block at once would double
-# the block's memory.
+# Source rows scored per `score_rows` call. BLAS may round a cosine
+# differently in the last bits for another row count, so this is fixed.
+_BLOCK_ROWS = 512
+# Rows per top-k selection: its partition and sort temporaries are as large
+# as the scores it ranks, so selecting a whole block at once would double the
+# block's memory.
 _SELECT_ROWS = 64
 
 
-def _top_k_rows(scores: np.ndarray, lexrank: np.ndarray, k: int) -> np.ndarray:
-    """Exact top-k columns of each row of a (rows, n) score block.
+def _top_k_rows(keys: tuple[np.ndarray, ...], lexrank: np.ndarray, k: int) -> np.ndarray:
+    """Exact top-k columns of each row of (rows, n) key arrays.
 
-    One argpartition picks k columns per row and a 2-D lexsort puts them in
-    (score desc, lexrank asc) order. The partition's choice among columns
-    that tie at the k-th score is arbitrary, so a row where the k-th score
-    also occurs outside the picked columns is sorted in full instead.
+    Columns rank by each key descending, most significant first, then by
+    lexrank ascending. A partition finds each row's k-th best first key;
+    every column at or above it (the k best plus any ties) goes into one
+    flat lexsort by (row, keys, lexrank), which keeps the first k per row.
     """
-    n = scores.shape[1]
+    first = keys[0]
+    rows, n = first.shape
     if k >= n:
-        return np.lexsort((np.broadcast_to(lexrank, scores.shape), -scores), axis=1)
-    picked = np.argpartition(scores, n - k, axis=1)[:, n - k :]
-    top = np.take_along_axis(scores, picked, axis=1)
-    chosen = np.take_along_axis(picked, np.lexsort((lexrank[picked], -top), axis=1), axis=1)
-    kth = top.min(axis=1, keepdims=True)
-    split_tie = (scores == kth).sum(axis=1) > (top == kth).sum(axis=1)
-    chosen[split_tie] = _top_k_rows(scores[split_tie], lexrank, n)[:, :k]
-    return chosen
+        by_token = np.broadcast_to(lexrank, first.shape)
+        return np.lexsort((by_token, *(-key for key in reversed(keys))), axis=1)
+    kth = np.partition(first, n - k, axis=1)[:, n - k, None]
+    flat = np.flatnonzero(first >= kth)
+    row, col = np.divmod(flat, n)
+    order = np.lexsort((lexrank[col], *(-key.ravel()[flat] for key in reversed(keys)), row))
+    counts = np.bincount(row, minlength=rows)
+    starts = np.cumsum(counts) - counts
+    return col[order[(starts[:, None] + np.arange(k)).ravel()]].reshape(rows, k)
 
 
 @dataclass(eq=False)
@@ -259,31 +265,26 @@ def top_k(
     rows: np.ndarray,
     tgt: EmbeddingStore,
     k: int,
-    score_rows: Callable[[np.ndarray], np.ndarray],
-    order_rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-    block: int = 512,
+    score_rows: Callable[[np.ndarray], tuple[np.ndarray, ...]],
 ) -> Neighbors:
-    """The k best targets of each query, `block` source rows at a time.
+    """The k best targets of each query, a block of source rows at a time.
 
     `rows[i]` is the source row of `queries[i]`, and `score_rows(r)` gives
-    the (len(r), len(tgt)) scores of source rows `r`. Targets rank by (score
-    desc, token asc), or by `order_rows(r, scores)`, each row's full target
-    order, when that is given. k is at most len(tgt).
+    the keys of source rows `r`: a tuple of (len(r), len(tgt)) arrays, most
+    significant first. Targets rank by each key descending, then by token
+    ascending; the first key is the reported score. k is at most len(tgt).
     """
     lexrank = tgt.lexrank()
     idx = np.empty((len(rows), k), dtype=np.int64)
     scores = np.empty((len(rows), k), dtype=np.float64)
-    for start in range(0, len(rows), block):
-        block_scores = score_rows(rows[start : start + block])
-        for sub in range(0, len(block_scores), _SELECT_ROWS):
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block_keys = score_rows(rows[start : start + _BLOCK_ROWS])
+        for sub in range(0, len(block_keys[0]), _SELECT_ROWS):
             at = start + sub
-            part = block_scores[sub : sub + _SELECT_ROWS]
-            if order_rows is None:
-                top = _top_k_rows(part, lexrank, k)
-            else:
-                top = order_rows(rows[at : at + len(part)], part)[:, :k]
+            part = tuple(key[sub : sub + _SELECT_ROWS] for key in block_keys)
+            top = _top_k_rows(part, lexrank, k)
             idx[at : at + len(top)] = top
-            scores[at : at + len(top)] = np.take_along_axis(part, top, axis=1)
+            scores[at : at + len(top)] = np.take_along_axis(part[0], top, axis=1)
     return Neighbors(tuple(queries), tgt.vocab, idx, scores)
 
 
@@ -292,15 +293,11 @@ def k_nearest(
     tgt: EmbeddingStore,
     queries: Sequence[str],
     k: int,
-    block: int = 512,
 ) -> Neighbors:
     """Exact cosine k-nearest targets for each query token.
 
     Queries must exist in `src`. If k exceeds the target vocabulary the full
-    ranking is returned with a warning. `block` rows of cosines are computed
-    per matrix product; BLAS may round a cosine differently in the last bits
-    for another block size, so on large stores scores and near-tied ranks
-    can depend on it. The pipeline always uses the default.
+    ranking is returned with a warning.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -311,4 +308,4 @@ def k_nearest(
     if missing:
         raise KeyError(f"query token {missing[0]!r} not in source store")
     rows = src.indices(queries)
-    return top_k(queries, rows, tgt, k, lambda r: cosine_matrix(src, tgt, r), block=block)
+    return top_k(queries, rows, tgt, k, lambda r: (cosine_matrix(src, tgt, r),))

@@ -498,7 +498,7 @@ def _system(
 ) -> TranslationSystem:
     return TranslationSystem(
         PhraseTable.read(table), load_lm(lm), weights,
-        config.beam, config.distortion_limit, config.options_limit or None,
+        config.beam, config.distortion_limit, config.options_limit,
     )
 
 

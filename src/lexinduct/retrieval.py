@@ -1,12 +1,15 @@
 """Direct word-translation retrieval over cross-lingual embeddings.
 
-Four exact methods, each a score row per query; `embeddings.top_k`, shared
-with `k_nearest`, returns the `top` best candidates as `Neighbors`:
+Four exact methods. Each gives the keys of a block of queries against every
+target, most significant first, and `embeddings.top_k`, the selection that
+`k_nearest` uses too, returns the `top` best candidates per query as
+`Neighbors`, each with its first key as the score. Ties on every key go to
+the ascending token.
 
 - nn: plain cosine nearest neighbor.
 - inv_nn: rank the query among all source words by cosine to each target,
-  prefer the target giving the best (lowest) rank; ties broken by higher
-  cosine, then ascending token. Counteracts hub targets.
+  prefer the target giving the best (lowest) rank; the keys are minus the
+  rank, then the cosine. Counteracts hub targets.
 - inv_softmax: softmax over the *source* vocabulary per target at a fixed
   temperature, so hub targets split their mass across many sources.
 - csls: 2*cos(x, y) - r_T(x) - r_S(y), each r the mean cosine to the k
@@ -86,27 +89,22 @@ def rank_candidates(
         return Neighbors((), tgt.vocab, np.empty((0, k), dtype=np.int64), np.empty((0, k)))
 
     cos = cosine_matrix(src, tgt)
-    order_rows = None
 
     if config.method == "nn":
         def score_rows(rows):
-            return cos[rows]
+            return (cos[rows],)
 
     elif config.method == "inv_nn":
         col_sorted = np.sort(cos.T, axis=1)
 
         def score_rows(rows):
             # Minus the rank: rank = 1 + the cosines above it in its column
-            # = len(cos) + 1 - the cosines at most it.
+            # = len(cos) + 1 - the cosines at most it. Equal ranks go to the
+            # higher cosine.
             at_most = np.empty((len(rows), len(col_sorted)))
             for y, col in enumerate(col_sorted):
                 at_most[:, y] = np.searchsorted(col, cos[rows, y], side="right")
-            return at_most - (len(cos) + 1.0)
-
-        def order_rows(rows, neg_ranks):
-            # Best (lowest) rank first, ties by higher cosine, then token.
-            keys = (np.broadcast_to(tgt.lexrank(), neg_ranks.shape), -cos[rows], -neg_ranks)
-            return np.lexsort(keys, axis=1)
+            return at_most - (len(cos) + 1.0), cos[rows]
 
     elif config.method == "inv_softmax":
         t = config.softmax_temperature
@@ -115,16 +113,16 @@ def rank_candidates(
         log_z = col_max + np.log(np.exp(scaled - col_max).sum(axis=0))
 
         def score_rows(rows):
-            return scaled[rows] - log_z
+            return (scaled[rows] - log_z,)
 
     else:  # csls
         r_tgt = _mean_topk(cos, config.csls_k, axis=1)
         r_src = _mean_topk(cos, config.csls_k, axis=0)
 
         def score_rows(rows):
-            return 2.0 * cos[rows] - r_tgt[rows, None] - r_src
+            return (2.0 * cos[rows] - r_tgt[rows, None] - r_src,)
 
-    return top_k(present, src.indices(present), tgt, k, score_rows, order_rows)
+    return top_k(present, src.indices(present), tgt, k, score_rows)
 
 
 def induce_dictionary(

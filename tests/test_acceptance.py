@@ -356,16 +356,15 @@ class TestAcceptance:
         p_untuned = untuned.directions["src2tgt"].p_at_1
 
         work = Path(config.work_dir)
-        options_limit = config.options_limit or None
         forward = TranslationSystem(
             PhraseTable.read(work / "src2tgt" / "phrase_table.txt"),
             load_lm(work / "tgt" / "lm.txt"),
-            FeatureWeights(), config.beam, config.distortion_limit, options_limit,
+            FeatureWeights(), config.beam, config.distortion_limit, config.options_limit,
         )
         backward = TranslationSystem(
             PhraseTable.read(work / "tgt2src" / "phrase_table.txt"),
             load_lm(work / "src" / "lm.txt"),
-            FeatureWeights(), config.beam, config.distortion_limit, options_limit,
+            FeatureWeights(), config.beam, config.distortion_limit, config.options_limit,
         )
         with open(work / "src" / "corpus.txt", encoding="utf-8") as fh:
             sentences = tuple(tuple(line.split()) for line in fh)

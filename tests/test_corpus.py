@@ -8,7 +8,6 @@ import pytest
 from lexinduct import (
     Corpus,
     build_vocabulary,
-    corpus_from_sentences,
     count_ngrams,
     load_corpus,
     sample_sentences,
@@ -61,15 +60,9 @@ class TestTokenize:
 
 class TestCorpus:
     def test_token_count_and_len(self):
-        c = corpus_from_sentences([["a", "b"], ["c"]])
+        c = Corpus((("a", "b"), ("c",)))
         assert len(c) == 2
         assert c.token_count == 3
-
-    def test_validate_rejects_bad_tokens(self):
-        with pytest.raises(ValueError):
-            corpus_from_sentences([["a b"]]).validate()
-        with pytest.raises(ValueError):
-            corpus_from_sentences([[""]]).validate()
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -121,7 +114,7 @@ class TestVocabulary:
 
 class TestSampleSentences:
     def _corpus(self, n=50):
-        return corpus_from_sentences([[f"w{i}"] for i in range(n)])
+        return Corpus(tuple((f"w{i}",) for i in range(n)))
 
     def test_deterministic_and_ordered(self):
         corpus = self._corpus()
@@ -154,7 +147,7 @@ class TestSampleSentences:
 
 
 def test_corpus_is_immutable():
-    corpus = corpus_from_sentences([["a"]])
+    corpus = Corpus((("a",),))
     with pytest.raises(AttributeError):
         corpus.sentences = ()
 

@@ -189,14 +189,6 @@ class TestKNearest:
         res = k_nearest(src, tgt, ["q"], 2)[0]
         assert [t for t, _ in res.candidates] == ["aa", "mm"]
 
-    def test_block_size_does_not_change_results(self):
-        rng = np.random.default_rng(7)
-        src = unit_normalize(random_store(rng, 40, 4, "s"))
-        tgt = unit_normalize(random_store(rng, 30, 4, "t"))
-        a = k_nearest(src, tgt, list(src.vocab), 3, block=7)
-        b = k_nearest(src, tgt, list(src.vocab), 3, block=512)
-        assert [r.candidates for r in a] == [r.candidates for r in b]
-
     def test_k_larger_than_vocab_returns_all(self, caplog):
         rng = np.random.default_rng(8)
         src = unit_normalize(random_store(rng, 3, 4, "s"))
@@ -240,31 +232,38 @@ def quantized_store(rng, n, dim, prefix):
 class TestTopKRows:
     def test_matches_per_row_oracle_with_ties_at_the_kth_score(self):
         rng = np.random.default_rng(11)
-        split_ties = 0
-        for _ in range(40):
+        split_ties = second_decides = 0
+        for _ in range(100):
             rows, n = int(rng.integers(1, 12)), int(rng.integers(2, 40))
             scores = np.round(rng.normal(size=(rows, n)), 1)
+            second = np.round(rng.normal(size=(rows, n)))
             lexrank = rng.permutation(n).astype(np.int64)
             for k in (1, int(rng.integers(1, n + 1)), n):
-                got = _top_k_rows(scores, lexrank, k)
+                got = _top_k_rows((scores,), lexrank, k)
+                got2 = _top_k_rows((scores, second), lexrank, k)
                 for r in range(rows):
                     assert list(got[r]) == list(top_k_indices(scores[r], lexrank, k))
+                    want = np.lexsort((lexrank, -second[r], -scores[r]))[:k]
+                    assert list(got2[r]) == list(want)
                     kth = np.sort(scores[r])[::-1][k - 1]
                     split_ties += int((scores[r] >= kth).sum() > k)
+                    # The second key changes which columns make the top k.
+                    second_decides += int(set(want) != set(got[r]))
         assert split_ties > 50
+        assert second_decides >= 50
 
-    def test_k_nearest_on_tied_cosines_matches_oracle_for_any_block(self):
+    def test_k_nearest_on_tied_cosines_matches_oracle(self):
         rng = np.random.default_rng(12)
-        for n_src in (5, 17, 29, 150, 200):
+        # 600 queries cross the boundary of a 512-row cosine block.
+        for n_src in (5, 17, 29, 150, 200, 600):
             src = quantized_store(rng, n_src, 3, "s")
             tgt = quantized_store(rng, int(rng.integers(3, 25)), 3, "t")
             scores = cosine_matrix(src, tgt)
             for k in (1, 2, len(tgt) - 1, len(tgt), len(tgt) + 2):
                 want = [top_k_indices(row, tgt.lexrank(), min(k, len(tgt))) for row in scores]
-                for block in (1, 3, 100, 512):
-                    got = k_nearest(src, tgt, list(src.vocab), k, block=block)
-                    assert len(got) == len(src)
-                    np.testing.assert_array_equal(got.idx, want)
-                    np.testing.assert_array_equal(
-                        got.scores, np.take_along_axis(scores, got.idx, axis=1)
-                    )
+                got = k_nearest(src, tgt, list(src.vocab), k)
+                assert len(got) == len(src)
+                np.testing.assert_array_equal(got.idx, want)
+                np.testing.assert_array_equal(
+                    got.scores, np.take_along_axis(scores, got.idx, axis=1)
+                )

@@ -8,6 +8,7 @@ import pytest
 from lexinduct import (
     EmbeddingStore,
     RetrievalConfig,
+    cosine_matrix,
     induce_dictionary,
     rank_candidates,
     unit_normalize,
@@ -108,6 +109,21 @@ class TestAgainstPerQueryOracle:
                 assert g.candidates == w.candidates
         full = rank_per_query(src, tgt, queries, config)
         assert sum(r.candidates[2][1] == r.candidates[3][1] for r in full) >= 10
+        if method == "inv_nn":
+            # Some rank tie at places k and k + 1 goes to the higher cosine
+            # against token order, so the cosine key decides the top k.
+            cos = cosine_matrix(src, tgt)
+
+            def cosine(query, token):
+                return cos[src.indices([query])[0], tgt.indices([token])[0]]
+
+            decided = [
+                r for r in full for k in (1, 3)
+                if r.candidates[k - 1][1] == r.candidates[k][1]
+                and r.candidates[k - 1][0] > r.candidates[k][0]
+                and cosine(r.query, r.candidates[k - 1][0]) > cosine(r.query, r.candidates[k][0])
+            ]
+            assert decided
 
 
 class TestHubFixture:
