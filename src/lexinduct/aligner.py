@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fileio import atomic_write
+from .fileio import atomic_write, parse_number
 
 NULL_WORD = "<null>"
 
@@ -286,6 +286,8 @@ def read_links(path) -> list[set[Link]]:
                 left, sep, right = item.partition("-")
                 if not sep:
                     raise ValueError(f"{path}: line {lineno}: malformed link {item!r}")
-                links.add((int(left), int(right)))
+                links.add(
+                    (parse_number(int, left, path, lineno), parse_number(int, right, path, lineno))
+                )
             out.append(links)
     return out

@@ -27,11 +27,11 @@ from .lexicon import (
     dictionary_from_counts,
     write_extracted_counts,
 )
-from .lm import save_lm, train_lm
 from .phrases import build_phrase_inventory, build_phrase_store
 from .pipeline import (
     PipelineConfig,
     align_stage,
+    lm_stage,
     read_config,
     run_pipeline,
     tables_stage,
@@ -98,8 +98,7 @@ def _cmd_phrase_table(args: argparse.Namespace) -> int:
 
 def _cmd_train_lm(args: argparse.Namespace) -> int:
     config = _config(args)
-    corpus = _tokenized_corpus(args.input, config)
-    save_lm(train_lm(corpus, config.lm_order, config.lm_discount), args.out)
+    lm_stage(config, _tokenized_corpus(args.input, config), args.out)
     return 0
 
 

@@ -98,10 +98,12 @@ def load_corpus(path: str | Path, aggressive_hyphens: bool = True, lowercase: bo
     return Corpus(tuple(sentences), str(path))
 
 
-def write_corpus(corpus: Corpus, path: str | Path) -> None:
+def write_corpus(sentences: Iterable[Sequence[str]], path: str | Path) -> None:
+    """One line per sentence, tokens joined by single spaces; a `Corpus`
+    or any iterable of token sequences."""
     with atomic_write(path) as fh:
-        for sent in corpus.sentences:
-            fh.write(" ".join(sent) + "\n")
+        for sentence in sentences:
+            fh.write(" ".join(sentence) + "\n")
 
 
 @dataclass

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fileio import atomic_write
+from .fileio import atomic_write, parse_number
 from .lm import EOS, NGramModel
 from .phrases import PhraseTable
 
@@ -83,7 +83,7 @@ class FeatureWeights:
                 name = name.strip()
                 if name not in FEATURE_NAMES:
                     raise ValueError(f"{path}: line {lineno}: unknown feature {name!r}")
-                values[name] = float(raw.strip())
+                values[name] = parse_number(float, raw.strip(), path, lineno)
         missing = [n for n in FEATURE_NAMES if n not in values]
         if missing:
             raise ValueError(f"{path}: missing weight for {missing[0]!r}")

@@ -4,7 +4,9 @@ Every file the pipeline writes goes through `atomic_write`: the content is
 written to a temporary file in the same directory and renamed over the
 target only once it is complete, so a failed or killed writer never leaves
 a truncated output behind. A writer killed outright (SIGKILL) cannot remove
-its temporary file; `remove_stale_temps` deletes such leftovers.
+its temporary file; `remove_stale_temps` deletes such leftovers. Readers
+convert numeric fields with `parse_number`, which names the file and line
+of a malformed value.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import os
 import re
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator, TypeVar
+
+T = TypeVar("T")
 
 
 @contextmanager
@@ -46,3 +50,13 @@ def remove_stale_temps(root: Path) -> list[Path]:
     for path in stale:
         path.unlink(missing_ok=True)
     return stale
+
+
+def parse_number(convert: Callable[[str], T], text: str, path: str | Path, lineno: int) -> T:
+    """`convert(text)`, with `convert` int or float; a malformed value
+    raises ValueError naming the file and line."""
+    try:
+        return convert(text)
+    except ValueError:
+        kind = "an integer" if convert is int else "a number"
+        raise ValueError(f"{path}: line {lineno}: expected {kind}, got {text!r}") from None

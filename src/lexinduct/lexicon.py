@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .fileio import atomic_write
+from .fileio import atomic_write, parse_number
 
 Phrase = tuple[str, ...]
 Link = tuple[int, int]
@@ -59,7 +59,8 @@ class InducedDictionary:
                 parts = line.rstrip("\n").split("\t")
                 if len(parts) != 3:
                     raise ValueError(f"{path}: line {lineno}: expected src<TAB>tgt<TAB>score")
-                entries.setdefault(parts[0], []).append((parts[1], float(parts[2])))
+                score = parse_number(float, parts[2], path, lineno)
+                entries.setdefault(parts[0], []).append((parts[1], score))
         return cls({s: tuple(c) for s, c in entries.items()})
 
 
@@ -153,10 +154,7 @@ def read_extracted_counts(path: str | Path) -> ExtractedCounts:
             parts = line.rstrip("\n").split(" ||| ")
             if len(parts) != 3:
                 raise ValueError(f"{path}: line {lineno}: expected 3 '|||' fields")
-            try:
-                c = int(parts[2])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-integer count") from None
+            c = parse_number(int, parts[2], path, lineno)
             counts.pairs[(tuple(parts[0].split(" ")), tuple(parts[1].split(" ")))] += c
     return counts
 

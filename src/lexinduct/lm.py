@@ -1,15 +1,20 @@
 """Interpolated Kneser-Ney n-gram language model with a fixed discount.
 
 Every order discounts the same absolute amount D from each observed count
-and redistributes it through interpolation with the next-lower order. The
-top order uses raw counts; lower orders use continuation (distinct
-predecessor) counts; the base case interpolates with the uniform
-distribution over the prediction vocabulary, which is where the unknown
-symbol receives its leftover mass. All log values are natural logs.
+and redistributes it through interpolation with the next-lower order; the
+base case interpolates with the uniform distribution over the prediction
+vocabulary, which is where the unknown symbol receives its leftover mass.
+All log values are natural logs.
 
-Sentences are padded with begin/end symbols; the begin symbol is context
-only and is never predicted, so conditional distributions over
-vocab + {end, unk} sum to one.
+Sentences are padded with order - 1 begin symbols and one end symbol; the
+begin symbol is context only and is never predicted, so conditional
+distributions over vocab + {end, unk} sum to one. Training counts one
+table, the top-order n-grams. Because of the padding every shorter n-gram
+is the suffix of one at the next order up, so each lower order's
+continuation counts (distinct predecessors) count the keys of the order
+above by their suffix, as lmplz does (Heafield et al. 2013), and the
+lower-order probability an n-gram interpolates with is its suffix's stored
+entry.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .fileio import atomic_write
+from .fileio import atomic_write, parse_number
 
 BOS = "<s>"
 EOS = "</s>"
@@ -42,7 +47,8 @@ class NGramModel:
     logprob maps an observed n-gram to log p(last | rest); backoff maps an
     observed context to its log backoff weight. An n-gram absent at one
     order scores as backoff(context) + score at the next-shorter context,
-    bottoming out at log_unseen for unseen unigrams.
+    bottoming out at log_unseen for unseen unigrams. `vocab` is derived
+    here: the unigram keys plus the unknown symbol, sorted.
 
     Scoring goes through `step`, a KenLM-style state transition (Heafield
     2011). A state stands for the longest suffix of the context that is a
@@ -58,7 +64,7 @@ class NGramModel:
     logprob: dict[NGram, float]
     backoff: dict[NGram, float]
     log_unseen: float
-    vocab: tuple[str, ...] = field(default=())
+    vocab: tuple[str, ...] = field(init=False)
     transitions: list[dict[str, tuple[float, int]]] = field(
         default_factory=list, repr=False, compare=False
     )
@@ -66,11 +72,7 @@ class NGramModel:
     _ids: dict[NGram, int] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.vocab:
-            words = sorted({g[0] for g in self.logprob if len(g) == 1})
-            if UNK not in words:
-                words.append(UNK)
-            self.vocab = tuple(sorted(words))
+        self.vocab = tuple(sorted({g[0] for g in self.logprob if len(g) == 1} | {UNK}))
 
     def normalize_token(self, token: str) -> str:
         """Map out-of-vocabulary tokens to the unknown symbol."""
@@ -168,90 +170,49 @@ def train_lm(corpus: Iterable[Sequence[str]], order: int = 5, discount: float = 
         raise ValueError(f"order must be >= 1, got {order}")
     if not (0.0 < discount < 1.0):
         raise ValueError(f"discount must lie in (0, 1), got {discount}")
-    sentences = [tuple(s) for s in corpus]
-    if not sentences:
+    begin = (BOS,) * (order - 1)
+    top: Counter = Counter()
+    for sentence in map(tuple, corpus):
+        for symbol in RESERVED:
+            if symbol in sentence:
+                raise ValueError(f"training token collides with reserved symbol {symbol!r}")
+        padded = begin + sentence + (EOS,)
+        top.update(padded[p : p + order] for p in range(len(padded) - order + 1))
+    if not top:
         raise ValueError("empty training corpus")
 
-    raw: dict[int, Counter] = {n: Counter() for n in range(1, order + 1)}
-    for toks in sentences:
-        for t in toks:
-            if t in RESERVED:
-                raise ValueError(f"training token collides with reserved symbol {t!r}")
-        padded = [BOS] * (order - 1) + list(toks) + [EOS]
-        for p in range(order - 1, len(padded)):
-            for n in range(1, order + 1):
-                if p - n + 1 >= 0:
-                    raw[n][tuple(padded[p - n + 1 : p + 1])] += 1
+    # counts[n - 1] holds the adjusted counts of order n: raw at the top,
+    # continuation counts below, each taken from the keys of the order above.
+    counts = [top]
+    while len(counts) < order:
+        counts.insert(0, Counter(gram[1:] for gram in counts[0]))
 
-    # Adjusted counts: raw at the top order, continuation (distinct
-    # predecessor) counts below it.
-    adjusted: dict[int, Counter] = {order: raw[order]}
-    for k in range(order - 1, 0, -1):
-        cont: Counter = Counter()
-        for gram in raw[k + 1]:
-            cont[gram[1:]] += 1
-        adjusted[k] = cont
-
-    vocab_set = {g[0] for g in raw[1]}
-    vocab_set.add(UNK)
-    v_size = len(vocab_set)
-
-    base = adjusted[1]
+    base = counts[0]
     cc_total = sum(base.values())
-    types = len(base)
-    uniform = 1.0 / v_size
-    base_bow = discount * types / cc_total
+    # The predicted words and the unknown symbol, which training never sees.
+    uniform = 1.0 / (len(base) + 1)
+    base_bow = discount * len(base) / cc_total
     log_unseen = math.log(base_bow * uniform)
 
     logprob: dict[NGram, float] = {}
     backoff: dict[NGram, float] = {}
-    for (w,), c in base.items():
-        logprob[(w,)] = math.log((c - discount) / cc_total + base_bow * uniform)
-
-    def lower_prob(word: str, context: NGram) -> float:
-        # A loop, not a recursive closure: a closure that calls itself is a
-        # reference cycle and would keep these tables alive after training
-        # until the next full garbage collection.
-        weights = []
-        while True:
-            key = context + (word,)
-            if key in logprob:
-                value = math.exp(logprob[key])
-                break
-            if not context:
-                value = math.exp(log_unseen)
-                break
-            weights.append(math.exp(backoff.get(context, 0.0)))
-            context = context[1:]
-        for weight in reversed(weights):
-            value = weight * value
-        return value
-
-    for k in range(2, order + 1):
-        counts = adjusted[k]
+    for gram, c in base.items():
+        logprob[gram] = math.log((c - discount) / cc_total + base_bow * uniform)
+    for grams in counts[1:]:
         totals: Counter = Counter()
         successors: Counter = Counter()
-        for gram, c in counts.items():
+        for gram, c in grams.items():
             totals[gram[:-1]] += c
             successors[gram[:-1]] += 1
-        bows = {
-            h: discount * successors[h] / totals[h] for h in totals
-        }
-        for gram, c in counts.items():
+        bows = {h: discount * successors[h] / totals[h] for h in totals}
+        for gram, c in grams.items():
             h = gram[:-1]
-            p = (c - discount) / totals[h] + bows[h] * lower_prob(gram[-1], h[1:])
+            p = (c - discount) / totals[h] + bows[h] * math.exp(logprob[gram[1:]])
             logprob[gram] = math.log(p)
         for h, b in bows.items():
             backoff[h] = math.log(b)
 
-    return NGramModel(
-        order=order,
-        discount=discount,
-        logprob=logprob,
-        backoff=backoff,
-        log_unseen=log_unseen,
-        vocab=tuple(sorted(vocab_set)),
-    )
+    return NGramModel(order, discount, logprob, backoff, log_unseen)
 
 
 def perplexity(model: NGramModel, corpus: Iterable[Sequence[str]]) -> float:
@@ -289,20 +250,24 @@ def save_lm(model: NGramModel, path: str | Path) -> None:
 
 
 def load_lm(path: str | Path) -> NGramModel:
+    """Parse a file written by `save_lm`; a malformed header or entry
+    raises ValueError naming the file and line."""
     with open(path, encoding="utf-8") as fh:
         head = fh.readline().split()
         if len(head) != 2 or head[0] != FORMAT_TAG:
             raise ValueError(f"{path}: not a {FORMAT_TAG} file")
-        if int(head[1]) != FORMAT_VERSION:
+        if head[1] != str(FORMAT_VERSION):
             raise ValueError(f"{path}: unsupported version {head[1]}")
-        order_line = fh.readline().split()
-        discount_line = fh.readline().split()
-        unseen_line = fh.readline().split()
-        if order_line[:1] != ["order"] or discount_line[:1] != ["discount"] or unseen_line[:1] != ["unseen"]:
-            raise ValueError(f"{path}: malformed header")
-        order = int(order_line[1])
-        discount = float(discount_line[1])
-        log_unseen = float(unseen_line[1])
+        header = []
+        for lineno, (name, convert) in enumerate(
+            (("order", int), ("discount", float), ("unseen", float)), 2
+        ):
+            parts = fh.readline().split()
+            if len(parts) != 2 or parts[0] != name:
+                raise ValueError(f"{path}: line {lineno}: expected '{name} <value>'")
+            header.append(parse_number(convert, parts[1], path, lineno))
+        if header[0] < 1:
+            raise ValueError(f"{path}: line 2: order must be >= 1, got {header[0]}")
         logprob: dict[NGram, float] = {}
         backoff: dict[NGram, float] = {}
         for lineno, line in enumerate(fh, 5):
@@ -313,13 +278,7 @@ def load_lm(path: str | Path) -> NGramModel:
                 raise ValueError(f"{path}: line {lineno}: expected 3 tab fields")
             gram = tuple(parts[1].split(" "))
             if parts[0] != "-":
-                logprob[gram] = float(parts[0])
+                logprob[gram] = parse_number(float, parts[0], path, lineno)
             if parts[2] != "-":
-                backoff[gram] = float(parts[2])
-    return NGramModel(
-        order=order,
-        discount=discount,
-        logprob=logprob,
-        backoff=backoff,
-        log_unseen=log_unseen,
-    )
+                backoff[gram] = parse_number(float, parts[2], path, lineno)
+    return NGramModel(header[0], header[1], logprob, backoff, header[2])

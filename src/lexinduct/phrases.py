@@ -186,12 +186,39 @@ def _sample_rows(n: int, sample_size: int, seed: int) -> Sequence[int]:
     return range(n)
 
 
-def _fit_temperature(
-    cos: np.ndarray, gold: np.ndarray, skipped: int, lo: float, hi: float, iterations: int
-) -> TemperatureParam:
-    """Maximum-likelihood temperature via golden-section search on log tau,
-    given each usable pair's candidate cosines (one row each) and the
-    cosine of its generated phrase."""
+def golden_min(
+    fn, lo: float, hi: float, iterations: int
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Golden-section minimization of `fn` over [lo, hi]: the final bracket
+    and the best evaluated point with its value. Of the two first points
+    the lower one wins ties; a later point replaces the best only when it
+    is strictly lower."""
+    a, b = lo, hi
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
+    fc, fd = fn(c), fn(d)
+    best = (c, fc) if fc <= fd else (d, fd)
+    for _ in range(iterations):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - GOLDEN * (b - a)
+            fc = fn(c)
+            if fc < best[1]:
+                best = (c, fc)
+        else:
+            a, c, fc = c, d, fd
+            d = a + GOLDEN * (b - a)
+            fd = fn(d)
+            if fd < best[1]:
+                best = (d, fd)
+    return (a, b), best
+
+
+def _fit_temperature(cos: np.ndarray, gold: np.ndarray, skipped: int) -> TemperatureParam:
+    """Maximum-likelihood temperature via golden-section search on log tau
+    over [TAU_LO, TAU_HI], given each usable pair's candidate cosines (one
+    row each) and the cosine of its generated phrase; the fit is the final
+    bracket's midpoint."""
     if skipped:
         log.warning("temperature fit: skipped %d pairs outside candidate sets", skipped)
     if not gold.size:
@@ -204,19 +231,7 @@ def _fit_temperature(
         lse = top + np.log(np.exp(scaled - top[:, None]).sum(axis=1))
         return float((lse - gold / tau).sum())
 
-    a, b = math.log(lo), math.log(hi)
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = nll(c), nll(d)
-    for _ in range(iterations):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = nll(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = nll(d)
+    (a, b), _ = golden_min(nll, math.log(TAU_LO), math.log(TAU_HI), TAU_ITERATIONS)
     return TemperatureParam(math.exp((a + b) / 2.0))
 
 
@@ -234,9 +249,7 @@ def _fit_to_opposite(
     hit = near.idx[generator] == generated[:, None]
     usable = hit.any(axis=1)
     cos = near.scores[generator]
-    return _fit_temperature(
-        cos[usable], cos[hit], int(generated.size - usable.sum()), TAU_LO, TAU_HI, TAU_ITERATIONS
-    )
+    return _fit_temperature(cos[usable], cos[hit], int(generated.size - usable.sum()))
 
 
 _PROB_FIELDS = ("phi_fwd", "phi_bwd", "lex_fwd", "lex_bwd")
@@ -399,9 +412,9 @@ def _intern(items: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(index), np.fromiter(map(index.__getitem__, items), np.int64, len(items))
 
 
-def _row_probs(near: Neighbors, tau: TemperatureParam, floor: float) -> np.ndarray:
+def _row_probs(near: Neighbors, tau: TemperatureParam) -> np.ndarray:
     """Floored softmax over each query's candidates."""
-    return floored_probs(softmax_scores(near.scores, tau.tau), floor)
+    return floored_probs(softmax_scores(near.scores, tau.tau), PROB_FLOOR)
 
 
 class _PairTable:
@@ -441,15 +454,13 @@ def _phrase_word_ids(phrases: Sequence[str], words: EmbeddingStore) -> np.ndarra
     )
 
 
-def _lexical_weights(
-    generating: np.ndarray, generated: np.ndarray, table: _PairTable, floor: float
-) -> np.ndarray:
+def _lexical_weights(generating: np.ndarray, generated: np.ndarray, table: _PairTable) -> np.ndarray:
     """Lexical weights for broadcast arrays of phrase word ids (..., L),
     with `table` keyed by (generating word, generated word): per generated
     word the best probability from any generating word (the floor if none
     covers it), multiplied over generated words left to right."""
     best = table.get(generating[..., :, None], generated[..., None, :]).max(axis=-2)
-    best = np.where(best > 0.0, best, floor)
+    best = np.where(best > 0.0, best, PROB_FLOOR)
     best = np.where(generated == _PAD, 1.0, best)
     weight = best[..., 0]
     for col in range(1, best.shape[-1]):
@@ -466,7 +477,6 @@ def _induced_table(
     words: _PairTable,
     opposite_words: _PairTable,
     tgt_lexrank: np.ndarray,
-    floor: float,
 ) -> PhraseTable:
     """One direction's table from its candidates and forward
     probabilities `phi`, the opposite direction's phrase and word
@@ -481,11 +491,11 @@ def _induced_table(
     for start in range(0, len(idx), _ROW_BLOCK):
         block = slice(start, start + _ROW_BLOCK)
         phi_bwd = opposite_phi.get(idx[block], rows[block])
-        probs[block, :, 1] = np.where(phi_bwd > 0.0, phi_bwd, floor)
+        probs[block, :, 1] = np.where(phi_bwd > 0.0, phi_bwd, PROB_FLOOR)
         gen = src_ids[block, None, :]
         out = tgt_ids[idx[block]]
-        probs[block, :, 2] = _lexical_weights(gen, out, words, floor)
-        probs[block, :, 3] = _lexical_weights(out, gen, opposite_words, floor)
+        probs[block, :, 2] = _lexical_weights(gen, out, words)
+        probs[block, :, 3] = _lexical_weights(out, gen, opposite_words)
     n, k = idx.shape
     return PhraseTable(
         near.queries, near.targets, k * np.arange(n + 1), idx.ravel(), probs.reshape(-1, 4)
@@ -510,7 +520,6 @@ def induce_tables(
     k: int = DEFAULT_CANDIDATES,
     reverse_sample: int = DEFAULT_REVERSE_SAMPLE,
     seed: int = 13,
-    floor: float = PROB_FLOOR,
 ) -> TableInduction:
     """Run the full two-direction induction: candidate sets, temperature
     fits, word-level tables, and both phrase tables."""
@@ -521,18 +530,18 @@ def induce_tables(
     word_k = min(k, len(tgt_words), len(src_words))
     words_fwd = k_nearest(src_words, tgt_words, src_words.vocab, word_k)
     words_rev = k_nearest(tgt_words, src_words, tgt_words.vocab, word_k)
-    wt_fwd = _PairTable(words_fwd, _row_probs(words_fwd, tau_fwd, floor))
-    wt_rev = _PairTable(words_rev, _row_probs(words_rev, tau_rev, floor))
-    phi_fwd = _row_probs(fwd, tau_fwd, floor)
-    phi_rev = _row_probs(rev, tau_rev, floor)
+    wt_fwd = _PairTable(words_fwd, _row_probs(words_fwd, tau_fwd))
+    wt_rev = _PairTable(words_rev, _row_probs(words_rev, tau_rev))
+    phi_fwd = _row_probs(fwd, tau_fwd)
+    phi_rev = _row_probs(rev, tau_rev)
     src_ids = _phrase_word_ids(src_phrases.vocab, src_words)
     tgt_ids = _phrase_word_ids(tgt_phrases.vocab, tgt_words)
     table_fwd = _induced_table(
         fwd, phi_fwd, _PairTable(rev, phi_rev), src_ids, tgt_ids, wt_fwd, wt_rev,
-        tgt_phrases.lexrank(), floor,
+        tgt_phrases.lexrank(),
     )
     table_rev = _induced_table(
         rev, phi_rev, _PairTable(fwd, phi_fwd), tgt_ids, src_ids, wt_rev, wt_fwd,
-        src_phrases.lexrank(), floor,
+        src_phrases.lexrank(),
     )
     return TableInduction(table_fwd, table_rev, tau_fwd, tau_rev)

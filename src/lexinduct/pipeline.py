@@ -19,7 +19,7 @@ depend on it. A lock on a file in the work dir keeps two pipeline runs out
 of one work dir; the run that takes it deletes the temporary files that a
 killed run's writers left.
 
-Each stage with logic of its own (`tables_stage`, `tune_stage`,
+Each stage with logic of its own (`lm_stage`, `tables_stage`, `tune_stage`,
 `translate_stage`, `align_stage`) is a module-level function of the config,
 its in-memory inputs and its output paths; `run_pipeline` and the matching
 CLI subcommand both call it.
@@ -45,7 +45,7 @@ from .corpus import Corpus, count_ngrams, load_corpus, sample_sentences, write_c
 from .decoder import FeatureWeights, TranslationSystem, translate_corpus
 from .embeddings import EmbeddingStore, load_cache, load_embeddings, save_cache, unit_normalize
 from .evaluation import read_gold, precision_at_1
-from .fileio import atomic_write, remove_stale_temps
+from .fileio import atomic_write, parse_number, remove_stale_temps
 from .lexicon import (
     InducedDictionary,
     count_extractions,
@@ -483,14 +483,8 @@ def _read_inventory(path: Path) -> PhraseInventory:
             key, sep, count = line.rstrip("\n").partition("\t")
             if not sep:
                 raise ValueError(f"{path}: line {lineno}: expected phrase<TAB>count")
-            phrases[tuple(key.split(" "))] = int(count)
+            phrases[tuple(key.split(" "))] = parse_number(int, count, path, lineno)
     return PhraseInventory(phrases)
-
-
-def _write_lines(sentences, path: str | Path) -> None:
-    with atomic_write(path) as fh:
-        for sentence in sentences:
-            fh.write(" ".join(sentence) + "\n")
 
 
 def _system(
@@ -513,6 +507,11 @@ def _symmetrize(forward, reverse, out: str | Path) -> None:
     if len(forward) != len(reverse):
         raise ValueError("directional link files differ in length")
     write_links([grow_diag_final_and(a, b) for a, b in zip(forward, reverse)], out)
+
+
+def lm_stage(config: PipelineConfig, corpus: Corpus, out: str | Path) -> None:
+    """Train the Kneser-Ney language model on `corpus` and write it."""
+    save_lm(train_lm(corpus, config.lm_order, config.lm_discount), out)
 
 
 def tables_stage(
@@ -583,9 +582,9 @@ def translate_stage(
         config, table, lm, FeatureWeights.read(weights) if weights else FeatureWeights()
     )
     pairs = translate_corpus(corpus.sentences, system, config.corpus_cap, config.workers)
-    _write_lines((output for _, output in pairs), out_tgt)
+    write_corpus((output for _, output in pairs), out_tgt)
     if out_src:
-        _write_lines((source for source, _ in pairs), out_src)
+        write_corpus((source for source, _ in pairs), out_src)
     return len(pairs)
 
 
@@ -673,11 +672,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
             lm_out = ldir / "lm.txt"
             lm_paths[lang] = lm_out
-
-            def lm_stage(tok=tok, out=lm_out):
-                save_lm(train_lm(_read_tokenized(tok), config.lm_order, config.lm_discount), out)
-
-            runner.run(f"lm:{lang}", [tok], [lm_out], lm_stage)
+            runner.run(
+                f"lm:{lang}", [tok], [lm_out],
+                lambda tok=tok, out=lm_out: lm_stage(config, _read_tokenized(tok), out),
+            )
 
         table_paths = {d: work_dir / d / "phrase_table.txt" for d in DIRECTIONS}
         tau_path = work_dir / "temperatures.txt"

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .decoder import FEATURE_NAMES, FeatureWeights, TranslationSystem
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+from .phrases import golden_min
 
 
 @dataclass(frozen=True)
@@ -101,29 +100,6 @@ def objective(
     return TuningObjective(cyclic, lm_loss, length, combined)
 
 
-def _golden_min(fn, lo: float, hi: float, iterations: int) -> tuple[float, float]:
-    """Golden-section minimization returning the best *evaluated* point."""
-    a, b = lo, hi
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
-    for _ in range(iterations):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = fn(c)
-            if fc < best_f:
-                best_x, best_f = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = fn(d)
-            if fd < best_f:
-                best_x, best_f = d, fd
-    return best_x, best_f
-
-
 def tune(
     initial: FeatureWeights,
     dev: Sequence[Sequence[str]],
@@ -150,7 +126,7 @@ def tune(
     best = combined(current)
     for _ in range(config.sweeps):
         for name in FEATURE_NAMES:
-            x, fx = _golden_min(
+            _, (x, fx) = golden_min(
                 lambda v: combined(current.replace(name, v)),
                 config.weight_lo,
                 config.weight_hi,

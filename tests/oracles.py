@@ -5,14 +5,18 @@ phrase tables and IBM-2 alignments on whole arrays, and the decoder scores
 derivations incrementally. The functions here compute the same things one
 phrase, one entry, one cell or one step at a time, from dicts, so that
 tests can compare the two exactly; `top_k_indices` selects top-k one score
-row at a time and `rank_candidates` ranks every target one query at a time. `table_of` and `single_word_table`
-build `PhraseTable`s by hand; `model_of` builds an `AlignmentModel` and
-`translation_of` reads its t(f|e) back as a dict.
+row at a time and `rank_candidates` ranks every target one query at a time.
+`train_lm` estimates the Kneser-Ney model from raw counts at every order,
+with the backoff recursion in its interpolation. `table_of` and
+`single_word_table` build `PhraseTable`s by hand; `model_of` builds an
+`AlignmentModel` and `translation_of` reads its t(f|e) back as a dict.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+import math
+from collections import Counter
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,14 +52,12 @@ from lexinduct.phrases import (
     DEFAULT_CANDIDATES,
     DEFAULT_REVERSE_SAMPLE,
     PROB_FLOOR,
-    TAU_HI,
-    TAU_ITERATIONS,
-    TAU_LO,
     Phrase,
     _fit_temperature,
     _sample_rows,
     phrase_key,
 )
+from lexinduct.lm import BOS, EOS, RESERVED, UNK
 from lexinduct.retrieval import _mean_topk
 
 
@@ -150,11 +152,7 @@ def _pair_matrices(
 
 
 def estimate_temperature(
-    cands: dict[str, ScoredCandidates],
-    reverse_pairs: Sequence[tuple[str, str]],
-    lo: float = TAU_LO,
-    hi: float = TAU_HI,
-    iterations: int = TAU_ITERATIONS,
+    cands: dict[str, ScoredCandidates], reverse_pairs: Sequence[tuple[str, str]]
 ) -> TemperatureParam:
     """Maximum-likelihood temperature via golden-section search on log tau.
 
@@ -162,7 +160,7 @@ def estimate_temperature(
     the opposite direction; pairs whose generated phrase is missing from the
     generating phrase's candidate set are skipped with a warning.
     """
-    return _fit_temperature(*_pair_matrices(cands, reverse_pairs), lo, hi, iterations)
+    return _fit_temperature(*_pair_matrices(cands, reverse_pairs))
 
 
 def word_translation_table(
@@ -500,3 +498,78 @@ def _scored(
     kept = order.tolist()
     values = scores[order].tolist()
     return ScoredCandidates(query, tuple(zip((tgt.vocab[j] for j in kept), values)))
+
+
+def train_lm(corpus: Iterable[Sequence[str]], order: int = 5, discount: float = 0.75) -> NGramModel:
+    """Interpolated Kneser-Ney, estimated the long way: a raw count table
+    per order, continuation counts from the raw table of the order above,
+    interpolation through the full ARPA backoff recursion, and the
+    vocabulary taken from the raw unigram types."""
+    sentences = [tuple(s) for s in corpus]
+    raw: dict[int, Counter] = {n: Counter() for n in range(1, order + 1)}
+    for toks in sentences:
+        for t in toks:
+            if t in RESERVED:
+                raise ValueError(f"training token collides with reserved symbol {t!r}")
+        padded = [BOS] * (order - 1) + list(toks) + [EOS]
+        for p in range(order - 1, len(padded)):
+            for n in range(1, order + 1):
+                if p - n + 1 >= 0:
+                    raw[n][tuple(padded[p - n + 1 : p + 1])] += 1
+
+    adjusted: dict[int, Counter] = {order: raw[order]}
+    for k in range(order - 1, 0, -1):
+        cont: Counter = Counter()
+        for gram in raw[k + 1]:
+            cont[gram[1:]] += 1
+        adjusted[k] = cont
+
+    vocab_set = {g[0] for g in raw[1]}
+    vocab_set.add(UNK)
+    base = adjusted[1]
+    cc_total = sum(base.values())
+    uniform = 1.0 / len(vocab_set)
+    base_bow = discount * len(base) / cc_total
+    log_unseen = math.log(base_bow * uniform)
+
+    logprob: dict[tuple[str, ...], float] = {}
+    backoff: dict[tuple[str, ...], float] = {}
+    for (w,), c in base.items():
+        logprob[(w,)] = math.log((c - discount) / cc_total + base_bow * uniform)
+
+    def lower_prob(word, context):
+        weights = []
+        while True:
+            key = context + (word,)
+            if key in logprob:
+                value = math.exp(logprob[key])
+                break
+            if not context:
+                value = math.exp(log_unseen)
+                break
+            weights.append(math.exp(backoff.get(context, 0.0)))
+            context = context[1:]
+        for weight in reversed(weights):
+            value = weight * value
+        return value
+
+    for k in range(2, order + 1):
+        counts = adjusted[k]
+        totals: Counter = Counter()
+        successors: Counter = Counter()
+        for gram, c in counts.items():
+            totals[gram[:-1]] += c
+            successors[gram[:-1]] += 1
+        bows = {h: discount * successors[h] / totals[h] for h in totals}
+        for gram, c in counts.items():
+            h = gram[:-1]
+            p = (c - discount) / totals[h] + bows[h] * lower_prob(gram[-1], h[1:])
+            logprob[gram] = math.log(p)
+        for h, b in bows.items():
+            backoff[h] = math.log(b)
+
+    model = NGramModel(order, discount, logprob, backoff, log_unseen)
+    # The vocabulary as counted here, so that comparing models also checks
+    # the library's derivation of it.
+    model.vocab = tuple(sorted(vocab_set))
+    return model

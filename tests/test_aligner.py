@@ -296,6 +296,13 @@ class TestLinkIO:
         with pytest.raises(ValueError):
             read_links(path)
 
+    def test_non_integer_link_names_file_and_line(self, tmp_path):
+        path = tmp_path / "links.txt"
+        path.write_text("0-0\n1-x\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_links(path)
+        assert str(info.value) == f"{path}: line 2: expected an integer, got 'x'"
+
 
 class TestTensionUpdate:
     def test_update_never_lowers_objective(self):

@@ -142,6 +142,20 @@ class TestTrainLm:
         assert "error:" in capsys.readouterr().err
 
 
+class TestTranslate:
+    def test_malformed_lm_header_exits_1_naming_file_and_line(self, tmp_path, capsys):
+        table = tmp_path / "table.txt"
+        table.write_text("a ||| x ||| 0.5 0.5 0.5 0.5\n", encoding="utf-8")
+        lm = tmp_path / "lm.txt"
+        lm.write_text("lexinduct-lm 1\norder\ndiscount 0.75\nunseen -1.0\n", encoding="utf-8")
+        corpus = tmp_path / "in.txt"
+        corpus.write_text("a\n", encoding="utf-8")
+        code = run_cli(["translate", "--table", str(table), "--lm", str(lm),
+                        "--input", str(corpus), "--out", str(tmp_path / "out.txt")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {lm}: line 2: ")
+
+
 class TestEvaluate:
     def test_report_format_is_exact(self, tmp_path, capsys):
         (tmp_path / "pred.tsv").write_text("a\tx\t0.9\nb\tz\t0.8\n", encoding="utf-8")

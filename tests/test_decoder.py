@@ -68,6 +68,13 @@ class TestFeatureWeights:
         with pytest.raises(ValueError):
             FeatureWeights.read(path)
 
+    def test_non_numeric_weight_names_file_and_line(self, tmp_path):
+        path = tmp_path / "weights.txt"
+        path.write_text("phi_fwd = 1.0\n\nlm = heavy\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            FeatureWeights.read(path)
+        assert str(info.value) == f"{path}: line 3: expected a number, got 'heavy'"
+
 
 class TestFeatureScore:
     def step(self, start, src, tgt, lp=(-0.1, -0.2, -0.3, -0.4)):

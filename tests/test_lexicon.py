@@ -195,3 +195,10 @@ class TestInducedDictionary:
         path.write_text("a x\n", encoding="utf-8")
         with pytest.raises(ValueError):
             InducedDictionary.read(path)
+
+    def test_non_numeric_score_names_file_and_line(self, tmp_path):
+        path = tmp_path / "dict.tsv"
+        path.write_text("a\tx\t0.5\nb\ty\thigh\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            InducedDictionary.read(path)
+        assert str(info.value) == f"{path}: line 2: expected a number, got 'high'"

@@ -3,10 +3,12 @@
 import gc
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
+import oracles
 from lexinduct import NGramModel, load_lm, perplexity, save_lm, train_lm
 from lexinduct.lm import BOS, EOS, UNK
 
@@ -211,6 +213,71 @@ class TestSerialization:
         path.write_text("lexinduct-lm 1\nwrong header\n\n\n", encoding="utf-8")
         with pytest.raises(ValueError):
             load_lm(path)
+
+    @pytest.mark.parametrize("text, line", [
+        ("lexinduct-lm 1\norder\ndiscount 0.75\nunseen -1.0\n", 2),
+        ("lexinduct-lm 1\norder x\ndiscount 0.75\nunseen -1.0\n", 2),
+        ("lexinduct-lm 1\norder 0\ndiscount 0.75\nunseen -1.0\n", 2),
+        ("lexinduct-lm 1\norder 2\ndiscount\nunseen -1.0\n", 3),
+        ("lexinduct-lm 1\norder 2\ndiscount 0.75\nunseen minus\n", 4),
+        ("lexinduct-lm 1\norder 2\ndiscount 0.75\n", 4),
+        ("lexinduct-lm 1\norder 2\ndiscount 0.75\nunseen -1.0\n-0.5\ta\t-\nhalf\tb\t-\n", 6),
+        ("lexinduct-lm 1\norder 2\ndiscount 0.75\nunseen -1.0\n-0.5\ta\tnone\n", 5),
+    ], ids=[
+        "order-without-value", "order-not-integer", "order-zero", "discount-without-value",
+        "unseen-not-number", "unseen-missing", "logprob-not-number", "backoff-not-number",
+    ])
+    def test_malformed_header_or_value_names_file_and_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.lm"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {line}: "):
+            load_lm(path)
+
+    def test_non_numeric_version_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.lm"
+        path.write_text("lexinduct-lm one\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: unsupported version"):
+            load_lm(path)
+
+
+def reference_corpus(rng, order):
+    """Random sentences over a small vocabulary, with at least one empty
+    sentence and one shorter than the order."""
+    words = [f"w{i}" for i in range(rng.randint(1, 9))]
+    corpus = [
+        [rng.choice(words) for _ in range(rng.randint(0, order + 4))]
+        for _ in range(rng.randint(1, 30))
+    ]
+    corpus.insert(rng.randint(0, len(corpus)), [])
+    corpus.insert(rng.randint(0, len(corpus)), [rng.choice(words)] * rng.randint(0, order - 1))
+    return corpus
+
+
+class TestAgainstReferenceEstimator:
+    """Training from top-order counts alone equals `oracles.train_lm`, which
+    counts every order raw and interpolates through the backoff recursion."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_tables_vocab_and_file_bytes_are_equal(self, order, tmp_path):
+        rng = random.Random(400 + order)
+        for _ in range(8):
+            corpus = reference_corpus(rng, order)
+            discount = rng.choice([0.1, 0.5, 0.75, 0.9])
+            got = train_lm(corpus, order, discount)
+            want = oracles.train_lm(corpus, order, discount)
+            assert got.logprob == want.logprob
+            assert got.backoff == want.backoff
+            assert got.log_unseen == want.log_unseen
+            assert got.vocab == want.vocab
+            save_lm(got, tmp_path / "got.lm")
+            save_lm(want, tmp_path / "want.lm")
+            assert (tmp_path / "got.lm").read_bytes() == (tmp_path / "want.lm").read_bytes()
+
+    def test_chain_corpus_with_generator_input(self):
+        corpus = chain_corpus(40, seed=13)
+        got = train_lm((tuple(s) for s in corpus), order=5)
+        want = oracles.train_lm(corpus, order=5)
+        assert (got.logprob, got.backoff, got.vocab) == (want.logprob, want.backoff, want.vocab)
 
 
 def test_direct_model_construction_backs_off():

@@ -21,6 +21,7 @@ from lexinduct import (
     softmax_scores,
     unit_normalize,
 )
+from lexinduct import phrases
 from lexinduct.phrases import PROB_FLOOR, word_store
 from oracles import (
     build_phrase_table,
@@ -512,13 +513,15 @@ class TestColumnarInduction:
             assert any(e.lex_fwd <= PROB_FLOOR for e in entries)
             assert any(e.lex_bwd <= PROB_FLOOR for e in entries)
 
-    def test_out_of_range_probability_names_the_source(self):
+    def test_out_of_range_probability_names_the_source(self, monkeypatch):
         rng = np.random.default_rng(51)
         src = random_phrase_store(rng, 9, 4, "s")
         tgt = random_phrase_store(rng, 8, 4, "t")
         args = (src, tgt, word_store(src), word_store(tgt), 3, 10, 5)
         with pytest.raises(ValueError) as oracle:
             oracle_tables(*args, floor=0.0)
+        # Induction reads the floor from the module constant.
+        monkeypatch.setattr(phrases, "PROB_FLOOR", 0.0)
         with pytest.raises(ValueError, match=r"outside \(0, 1\] for '") as columnar:
-            induce_tables(*args, floor=0.0)
+            induce_tables(*args)
         assert str(columnar.value).split(" for ")[1] == str(oracle.value).split(" for ")[1]

@@ -15,7 +15,7 @@ from lexinduct import (
     train_lm,
     tune,
 )
-from lexinduct.tuner import _golden_min
+from lexinduct.phrases import GOLDEN, golden_min
 from oracles import table_of
 
 
@@ -100,17 +100,26 @@ class TestGoldenMin:
             calls.append(x)
             return (x - 0.7) ** 2
 
-        x, fx = _golden_min(f, 0.0, 2.0, iterations=40)
+        (a, b), (x, fx) = golden_min(f, 0.0, 2.0, iterations=40)
         np.testing.assert_allclose(x, 0.7, atol=1e-6)
         np.testing.assert_allclose(fx, min((c - 0.7) ** 2 for c in calls), atol=0)
+        assert a <= 0.7 <= b and b - a < 1e-7
+        assert len(calls) == 42
 
     def test_returns_best_evaluated_point_even_if_not_unimodal(self):
         def f(x):
             return math.sin(9.0 * x) + 0.1 * x
 
-        x, fx = _golden_min(f, 0.0, 2.0, iterations=25)
+        _, (x, fx) = golden_min(f, 0.0, 2.0, iterations=25)
         np.testing.assert_allclose(fx, f(x), atol=0)
         assert fx <= f(2.0 - (math.sqrt(5) - 1) / 2 * 2.0) + 1e-12
+
+    def test_ties_keep_the_first_lower_point(self):
+        # On a flat function the left point wins every comparison, so the
+        # bracket shrinks from the right and the best stays the first point.
+        (a, b), (x, fx) = golden_min(lambda v: 1.0, 0.0, 1.0, iterations=5)
+        assert (x, fx) == (1.0 - GOLDEN, 1.0)
+        assert a == 0.0 and b == pytest.approx(GOLDEN**5, rel=1e-12)
 
 
 def misleading_fixture():
