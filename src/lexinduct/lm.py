@@ -8,24 +8,32 @@ All log values are natural logs.
 
 Sentences are padded with order - 1 begin symbols and one end symbol; the
 begin symbol is context only and is never predicted, so conditional
-distributions over vocab + {end, unk} sum to one. Training counts one
-table, the top-order n-grams. Because of the padding every shorter n-gram
-is the suffix of one at the next order up, so each lower order's
-continuation counts (distinct predecessors) count the keys of the order
-above by their suffix, as lmplz does (Heafield et al. 2013), and the
-lower-order probability an n-gram interpolates with is its suffix's stored
-entry.
+distributions over vocab + {end, unk} sum to one. Because of the padding
+every n-gram below the top order is the suffix of one at the next order
+up, so each lower order's continuation counts (distinct predecessors)
+count the n-grams of the order above by their suffix, as lmplz does
+(Heafield et al. 2013), and the lower-order probability an n-gram
+interpolates with is its suffix's stored entry.
+
+Training works on integer arrays. Tokens become ids in string order, the
+reserved symbols included, so sorting id tuples sorts the n-grams exactly
+as Python sorts string tuples: the sorted rows of each order are the
+order in which `save_lm` writes them, and no keyed sort is needed. Logs
+and exps go through `math` one value at a time, because numpy's `log` and
+`exp` differ from libm's in the last bit for some inputs; the arithmetic
+between them is numpy's, which rounds exactly like Python's floats.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .fileio import atomic_write, parse_number
 
@@ -70,6 +78,9 @@ class NGramModel:
     )
     _grams: list[NGram] = field(default_factory=list, repr=False, compare=False)
     _ids: dict[NGram, int] = field(default_factory=dict, repr=False, compare=False)
+    # Every key of both tables in file order, when `train_lm` built the
+    # model; `save_lm` sorts the keys of any other model itself.
+    _file_order: list[NGram] = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.vocab = tuple(sorted({g[0] for g in self.logprob if len(g) == 1} | {UNK}))
@@ -163,6 +174,14 @@ class NGramModel:
 def train_lm(corpus: Iterable[Sequence[str]], order: int = 5, discount: float = 0.75) -> NGramModel:
     """Estimate the model from a tokenized corpus.
 
+    The padded sentences become one id array. For each order n, the
+    distinct n-token tuples that are n-grams or contexts of the order above
+    are numbered in sorted order, each coded by its first id and its tail's
+    number one order down; counts, context groups, backoffs and suffix
+    probabilities are array operations over those numbers. The tables are
+    then keyed by string tuples, each built from its first token and its
+    tail's tuple, and the numbering is kept as the model's file order.
+
     Raises on an empty corpus, a non-positive order, a discount outside
     (0, 1), or training tokens that collide with the reserved symbols.
     """
@@ -170,49 +189,103 @@ def train_lm(corpus: Iterable[Sequence[str]], order: int = 5, discount: float = 
         raise ValueError(f"order must be >= 1, got {order}")
     if not (0.0 < discount < 1.0):
         raise ValueError(f"discount must lie in (0, 1), got {discount}")
-    begin = (BOS,) * (order - 1)
-    top: Counter = Counter()
-    for sentence in map(tuple, corpus):
-        for symbol in RESERVED:
-            if symbol in sentence:
-                raise ValueError(f"training token collides with reserved symbol {symbol!r}")
-        padded = begin + sentence + (EOS,)
-        top.update(padded[p : p + order] for p in range(len(padded) - order + 1))
-    if not top:
+    tokens: list[str] = []
+    ends: list[int] = []
+    for sentence in corpus:
+        tokens.extend(sentence)
+        ends.append(len(tokens))
+    if not ends:
         raise ValueError("empty training corpus")
+    types = set(tokens)
+    for symbol in RESERVED:
+        if symbol in types:
+            raise ValueError(f"training token collides with reserved symbol {symbol!r}")
+    words = sorted(types | {BOS, EOS})
+    index = {w: i for i, w in enumerate(words)}
+    bos = index[BOS]
 
-    # counts[n - 1] holds the adjusted counts of order n: raw at the top,
-    # continuation counts below, each taken from the keys of the order above.
-    counts = [top]
-    while len(counts) < order:
-        counts.insert(0, Counter(gram[1:] for gram in counts[0]))
+    # The padded sentences as one id array; sentence i's first token lands
+    # at its flat offset plus shift[i].
+    end = np.array(ends)
+    shift = order * np.arange(len(ends)) + order - 1
+    padded = np.full(len(tokens) + order * len(ends), bos, dtype=np.int64)
+    padded[np.arange(len(tokens)) + np.repeat(shift, np.diff(end, prepend=0))] = np.fromiter(
+        map(index.__getitem__, tokens), np.int64, len(tokens)
+    )
+    padded[end + shift] = index[EOS]
+    del tokens
 
-    base = counts[0]
-    cc_total = sum(base.values())
-    # The predicted words and the unknown symbol, which training never sees.
-    uniform = 1.0 / (len(base) + 1)
-    base_bow = discount * len(base) / cc_total
-    log_unseen = math.log(base_bow * uniform)
+    # The n-grams of every order end on a token or an end symbol; the
+    # contexts of the order above end one position earlier. Level n numbers
+    # the distinct n-token tuples of both kinds in sorted order by coding
+    # each as first id * (size of level n - 1) + its tail's number there.
+    is_gram = padded != bos
+    is_end = is_gram.copy()
+    is_end[:-1] |= is_gram[1:]
+    end_pos = np.flatnonzero(is_end)
+    gram_at = np.flatnonzero(is_gram[end_pos])
+    codes: list[np.ndarray] = []
+    # Per level, the tuple at each end position (at the top, each gram's).
+    ranks: list[np.ndarray] = []
+    for n in range(1, order + 1):
+        top = n == order
+        code = padded[(end_pos[gram_at] if top else end_pos) - n + 1]
+        if ranks:
+            code = code * len(codes[-1]) + (ranks[-1][gram_at] if top else ranks[-1])
+        uniq, rank = np.unique(code, return_inverse=True)
+        codes.append(uniq)
+        ranks.append(rank)
+
+    # Adjusted counts, 0 for tuples that are contexts only: raw at the top,
+    # below it the number of distinct n-grams of the order above that have
+    # the tuple as suffix (Heafield et al. 2013).
+    counts = [np.bincount(ranks[-1], minlength=len(codes[-1]))]
+    for n in range(order - 1, 0, -1):
+        above = codes[n][counts[0] > 0]
+        counts.insert(0, np.bincount(above % len(codes[n - 1]), minlength=len(codes[n - 1])))
 
     logprob: dict[NGram, float] = {}
     backoff: dict[NGram, float] = {}
-    for gram, c in base.items():
-        logprob[gram] = math.log((c - discount) / cc_total + base_bow * uniform)
-    for grams in counts[1:]:
-        totals: Counter = Counter()
-        successors: Counter = Counter()
-        for gram, c in grams.items():
-            totals[gram[:-1]] += c
-            successors[gram[:-1]] += 1
-        bows = {h: discount * successors[h] / totals[h] for h in totals}
-        for gram, c in grams.items():
-            h = gram[:-1]
-            p = (c - discount) / totals[h] + bows[h] * math.exp(logprob[gram[1:]])
-            logprob[gram] = math.log(p)
-        for h, b in bows.items():
-            backoff[h] = math.log(b)
+    file_order: list[NGram] = []
+    keys: list[NGram] = []
+    for n in range(1, order + 1):
+        below, size = keys, len(keys)
+        if n == 1:
+            keys = [(w,) for w in map(words.__getitem__, codes[0].tolist())]
+        else:
+            firsts = (codes[n - 1] // size).tolist()
+            tails = (codes[n - 1] % size).tolist()
+            keys = [(words[w],) + below[t] for w, t in zip(firsts, tails)]
+        file_order += keys
+        grams = np.flatnonzero(counts[n - 1])
+        c = counts[n - 1][grams]
+        if n == 1:
+            cc_total = int(c.sum())
+            # The predicted words and the unknown symbol, which training never sees.
+            uniform = 1.0 / (len(c) + 1)
+            base_bow = discount * len(c) / cc_total
+            log_unseen = math.log(base_bow * uniform)
+            p = (c - discount) / cc_total + base_bow * uniform
+        else:
+            # Each n-gram's context, as a tuple of the level below; in sorted
+            # order the n-grams of one context are contiguous.
+            context = np.empty(len(keys), dtype=np.intp)
+            context[ranks[n - 1] if n == order else ranks[n - 1][gram_at]] = ranks[n - 2][gram_at - 1]
+            context = context[grams]
+            starts = np.flatnonzero(np.r_[True, context[1:] != context[:-1]])
+            successors = np.diff(starts, append=len(grams))
+            totals = np.add.reduceat(c, starts)
+            bows = discount * successors / totals
+            lower = exps[codes[n - 1][grams] % size]
+            p = (c - discount) / np.repeat(totals, successors) + np.repeat(bows, successors) * lower
+            backoff.update(zip(map(below.__getitem__, context[starts].tolist()), map(math.log, bows.tolist())))
+        probs = list(map(math.log, p.tolist()))
+        logprob.update(zip(map(keys.__getitem__, grams.tolist()), probs))
+        if n < order:
+            exps = np.zeros(len(keys))
+            exps[grams] = list(map(math.exp, probs))
 
-    return NGramModel(order, discount, logprob, backoff, log_unseen)
+    return NGramModel(order, discount, logprob, backoff, log_unseen, _file_order=file_order)
 
 
 def perplexity(model: NGramModel, corpus: Iterable[Sequence[str]]) -> float:
@@ -236,16 +309,21 @@ def save_lm(model: NGramModel, path: str | Path) -> None:
     n-grams sorted: "logp<TAB>ngram<TAB>backoff", with "-" where an entry
     has no probability (context-only rows) or no backoff weight. Values
     round-trip to 9 decimal places.
+
+    A trained model carries its file order from training; any other model
+    has its keys sorted here.
     """
-    keys = sorted(set(model.logprob) | set(model.backoff), key=lambda g: (len(g), g))
+    keys = model._file_order or sorted(sorted(model.logprob.keys() | model.backoff.keys()), key=len)
+    logprob, backoff = model.logprob.get, model.backoff.get
     with atomic_write(path) as fh:
         fh.write(f"{FORMAT_TAG} {FORMAT_VERSION}\n")
         fh.write(f"order {model.order}\n")
         fh.write(f"discount {model.discount!r}\n")
         fh.write(f"unseen {model.log_unseen:.9f}\n")
         for gram in keys:
-            lp = f"{model.logprob[gram]:.9f}" if gram in model.logprob else "-"
-            bo = f"{model.backoff[gram]:.9f}" if gram in model.backoff else "-"
+            lp, bo = logprob(gram), backoff(gram)
+            lp = "-" if lp is None else f"{lp:.9f}"
+            bo = "-" if bo is None else f"{bo:.9f}"
             fh.write(f"{lp}\t{' '.join(gram)}\t{bo}\n")
 
 

@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import cipher_config, make_cipher
 from lexinduct import NGramModel, load_lm, perplexity, save_lm, train_lm
+from lexinduct.corpus import load_corpus
 from lexinduct.lm import BOS, EOS, UNK
+from lexinduct.pipeline import lm_stage
 
 
 def chain_corpus(n_sentences, vocab_size=12, seed=0):
@@ -272,6 +275,35 @@ class TestAgainstReferenceEstimator:
             save_lm(got, tmp_path / "got.lm")
             save_lm(want, tmp_path / "want.lm")
             assert (tmp_path / "got.lm").read_bytes() == (tmp_path / "want.lm").read_bytes()
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_tokens_that_sort_around_the_reserved_symbols(self, order, tmp_path):
+        # Python orders "</s>" < "<s>" < "<unk>"; these tokens fall before,
+        # between and after them, so ids out of string order would reorder
+        # the file and the context groups.
+        words = ["!", "0", ";", "<", "<r", "<s>x", "<t", "=", "A", "a", "ab", "é", "中"]
+        rng = random.Random(500 + order)
+        for _ in range(6):
+            vocab = rng.sample(words, rng.randint(1, len(words)))
+            corpus = [
+                [rng.choice(vocab) for _ in range(rng.randint(0, order + 4))]
+                for _ in range(rng.randint(1, 30))
+            ]
+            discount = rng.choice([0.1, 0.5, 0.75, 0.9])
+            got = train_lm(corpus, order, discount)
+            want = oracles.train_lm(corpus, order, discount)
+            assert (got.logprob, got.backoff, got.vocab) == (want.logprob, want.backoff, want.vocab)
+            save_lm(got, tmp_path / "got.lm")
+            save_lm(want, tmp_path / "want.lm")
+            assert (tmp_path / "got.lm").read_bytes() == (tmp_path / "want.lm").read_bytes()
+
+    def test_lm_stage_on_a_cipher_corpus(self, tmp_path):
+        fixture = make_cipher(tmp_path / "cipher", sentences=300)
+        config = cipher_config(fixture, tmp_path / "work", lm_order=5)
+        corpus = load_corpus(fixture.tgt_corpus)
+        lm_stage(config, corpus, tmp_path / "got.lm")
+        save_lm(oracles.train_lm(corpus, 5, config.lm_discount), tmp_path / "want.lm")
+        assert (tmp_path / "got.lm").read_bytes() == (tmp_path / "want.lm").read_bytes()
 
     def test_chain_corpus_with_generator_input(self):
         corpus = chain_corpus(40, seed=13)
