@@ -1,13 +1,13 @@
 """Command-line interface.
 
 One subcommand per pipeline stage plus the end-to-end `pipeline` driver.
-The stages with logic of their own are the `*_stage` functions of
-`pipeline`; a subcommand only parses flags, tokenizes its raw input and
-picks the optional outputs. Every subcommand accepts --config; explicit
-flags override config values, which override the built-in defaults. A
-config flag's `dest` is the PipelineConfig field it sets, so flags pass the
-config's range checks. Exit code 0 on success, 1 on failure (pipeline
-failures name the failing stage).
+A stage subcommand calls the `*_stage` functions of `pipeline` that the
+pipeline runs; it only parses flags and picks the optional outputs. Every
+subcommand accepts --config; explicit flags override config values, which
+override the built-in defaults. A config flag's `dest` is the
+PipelineConfig field it sets, so flags pass the config's range checks.
+Exit code 0 on success, 1 on failure (pipeline failures name the failing
+stage).
 """
 
 from __future__ import annotations
@@ -17,24 +17,21 @@ import dataclasses
 import logging
 import sys
 
-from .aligner import read_links
-from .corpus import count_ngrams, load_corpus
-from .embeddings import load_embeddings, unit_normalize
-from .evaluation import precision_at_1, read_gold
-from .lexicon import (
-    InducedDictionary,
-    count_extractions,
-    dictionary_from_counts,
-    write_extracted_counts,
-)
-from .phrases import build_phrase_inventory, build_phrase_store
+from .embeddings import load_embeddings
+from .lexicon import InducedDictionary
 from .pipeline import (
     PipelineConfig,
     align_stage,
+    dictionary_stage,
+    evaluate_stage,
+    extract_stage,
+    inventory_stage,
     lm_stage,
+    phrases_stage,
     read_config,
     run_pipeline,
     tables_stage,
+    tokenized,
     translate_stage,
     tune_stage,
 )
@@ -59,10 +56,6 @@ def _read_lines(path: str) -> list[str]:
         return [line.strip() for line in fh if line.strip()]
 
 
-def _tokenized_corpus(path: str, config: PipelineConfig):
-    return load_corpus(path, config.aggressive_hyphens, config.lowercase)
-
-
 def _cmd_induce(args: argparse.Namespace) -> int:
     # --config is accepted for interface uniformity; retrieval has no
     # pipeline-config knobs.
@@ -83,11 +76,10 @@ def _cmd_induce(args: argparse.Namespace) -> int:
 
 def _cmd_phrase_table(args: argparse.Namespace) -> int:
     config = _config(args)
-    stores = []
-    for corpus_path, emb_path in ((args.src_corpus, args.src_emb), (args.tgt_corpus, args.tgt_emb)):
-        counts = count_ngrams(_tokenized_corpus(corpus_path, config), 3)
-        inventory = build_phrase_inventory(counts, config.vocab_size, config.ngram_cap)
-        stores.append(build_phrase_store(inventory, unit_normalize(load_embeddings(emb_path))))
+    stores = [
+        phrases_stage(inventory_stage(config, tokenized(config, corpus)), embeddings)
+        for corpus, embeddings in ((args.src_corpus, args.src_emb), (args.tgt_corpus, args.tgt_emb))
+    ]
     induced = tables_stage(config, *stores, args.out_fwd, args.out_rev, args.out_tau)
     log.info(
         "tables written: %s (tau %.4f), %s (tau %.4f)",
@@ -98,7 +90,7 @@ def _cmd_phrase_table(args: argparse.Namespace) -> int:
 
 def _cmd_train_lm(args: argparse.Namespace) -> int:
     config = _config(args)
-    lm_stage(config, _tokenized_corpus(args.input, config), args.out)
+    lm_stage(config, tokenized(config, args.input), args.out)
     return 0
 
 
@@ -106,7 +98,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     config = _config(args)
     tune_stage(
         config, args.table, args.rev_table, args.lm, args.rev_lm,
-        _tokenized_corpus(args.input, config), args.out,
+        tokenized(config, args.input), args.out,
     )
     return 0
 
@@ -114,7 +106,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 def _cmd_translate(args: argparse.Namespace) -> int:
     config = _config(args)
     count = translate_stage(
-        config, args.table, args.lm, args.weights, _tokenized_corpus(args.input, config),
+        config, args.table, args.lm, args.weights, tokenized(config, args.input),
         args.out, args.out_src,
     )
     log.info("translated %d sentences to %s", count, args.out)
@@ -126,7 +118,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
         raise ValueError("align: give at least one of --out-fwd, --out-rev, --out-sym")
     config = _config(args)
     align_stage(
-        config, _tokenized_corpus(args.src, config), _tokenized_corpus(args.tgt, config),
+        config, tokenized(config, args.src), tokenized(config, args.tgt),
         args.out_fwd, args.out_rev, args.out_sym,
     )
     return 0
@@ -134,23 +126,16 @@ def _cmd_align(args: argparse.Namespace) -> int:
 
 def _cmd_extract(args: argparse.Namespace) -> int:
     config = _config(args)
-    src = _tokenized_corpus(args.src, config)
-    tgt = _tokenized_corpus(args.tgt, config)
-    bitext = list(zip(src.sentences, tgt.sentences))
-    counts = count_extractions(bitext, read_links(args.links), config.max_phrase_len)
-    if args.counts:
-        write_extracted_counts(counts, args.counts)
-    dictionary = dictionary_from_counts(counts, config.denominator)
-    dictionary.write(args.out)
+    counts = extract_stage(
+        config, tokenized(config, args.src), tokenized(config, args.tgt), args.links, args.counts
+    )
+    dictionary = dictionary_stage(config, counts, args.out)
     log.info("dictionary with %d source words written to %s", len(dictionary), args.out)
     return 0
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    induced = InducedDictionary.read(args.pred)
-    gold = read_gold(args.gold)
-    score, oov = precision_at_1(induced, gold)
-    print(f"P@1 {score:.6f} OOV {oov:.6f}")
+    print(evaluate_stage(InducedDictionary.read(args.pred), args.gold))
     return 0
 
 

@@ -19,10 +19,13 @@ depend on it. A lock on a file in the work dir keeps two pipeline runs out
 of one work dir; the run that takes it deletes the temporary files that a
 killed run's writers left.
 
-Each stage with logic of its own (`lm_stage`, `tables_stage`, `tune_stage`,
-`translate_stage`, `align_stage`) is a module-level function of the config,
-its in-memory inputs and its output paths; `run_pipeline` and the matching
-CLI subcommand both call it.
+Every stage is defined once, as a module-level function of the config, its
+in-memory inputs and its output paths (`tokenized` reads and tokenizes a
+raw corpus; `inventory_stage` through `evaluate_stage` do the rest), and the
+matching CLI subcommand calls the same function. `run_pipeline` is one flat
+list of `run(name, inputs, outputs, fn)` calls: the runner passes `fn` the
+input and output paths, and a short lambda reads the inputs and hands them
+to the stage function.
 
 Outputs are deterministic for fixed config, inputs, and seeds; the worker
 count only affects wall-clock time, never bytes.
@@ -47,6 +50,7 @@ from .embeddings import EmbeddingStore, load_cache, load_embeddings, save_cache,
 from .evaluation import read_gold, precision_at_1
 from .fileio import atomic_write, parse_number, remove_stale_temps
 from .lexicon import (
+    ExtractedCounts,
     InducedDictionary,
     count_extractions,
     dictionary_from_counts,
@@ -333,9 +337,10 @@ class _Runner:
         name: str,
         inputs: Sequence[Path],
         outputs: Sequence[Path],
-        fn: Callable[[], object],
+        fn: Callable[..., object],
     ) -> bool:
-        """Run (or skip) one stage; returns True when it actually ran."""
+        """Run (or skip) one stage, calling `fn(*inputs, *outputs)`; returns
+        True when it actually ran."""
         kind = name.partition(":")[0]
         digests: dict[str, str] = {}
         ordered: list[str] = []
@@ -373,7 +378,7 @@ class _Runner:
         for out in outputs:
             out.parent.mkdir(parents=True, exist_ok=True)
         try:
-            fn()
+            fn(*inputs, *outputs)
         except PipelineStageError:
             raise
         except Exception as exc:
@@ -468,12 +473,6 @@ def _read_tokenized(path: Path) -> Corpus:
     return Corpus(sentences, str(path))
 
 
-def _write_inventory(inventory: PhraseInventory, path: Path) -> None:
-    with atomic_write(path) as fh:
-        for phrase in sorted(inventory.phrases):
-            fh.write(" ".join(phrase) + "\t" + str(inventory.phrases[phrase]) + "\n")
-
-
 def _read_inventory(path: Path) -> PhraseInventory:
     phrases: dict[tuple[str, ...], int] = {}
     with open(path, encoding="utf-8") as fh:
@@ -503,10 +502,48 @@ def _train_aligner(config: PipelineConfig, pairs):
     )
 
 
+def _check_lines(stage: str, *files: tuple[str | Path, int]) -> None:
+    """Raise unless the (file, line count) pairs of a parallel input all
+    have the same count."""
+    if len({lines for _, lines in files}) > 1:
+        counts = ", ".join(f"{path} has {lines} lines" for path, lines in files)
+        raise ValueError(f"{stage}: {counts}")
+
+
 def _symmetrize(forward, reverse, out: str | Path) -> None:
     if len(forward) != len(reverse):
         raise ValueError("directional link files differ in length")
     write_links([grow_diag_final_and(a, b) for a, b in zip(forward, reverse)], out)
+
+
+def tokenized(config: PipelineConfig, path: str | Path) -> Corpus:
+    """Read a raw corpus file and tokenize it by the config's rules."""
+    return load_corpus(path, config.aggressive_hyphens, config.lowercase)
+
+
+def inventory_stage(
+    config: PipelineConfig, corpus: Corpus, out: str | Path | None = None
+) -> PhraseInventory:
+    """Count the n-grams of `corpus` and keep its phrase inventory; with
+    `out`, write it as sorted "phrase<TAB>count" lines."""
+    counts = count_ngrams(corpus, 3)
+    inventory = build_phrase_inventory(counts, config.vocab_size, config.ngram_cap)
+    if out:
+        with atomic_write(out) as fh:
+            for phrase in sorted(inventory.phrases):
+                fh.write(" ".join(phrase) + "\t" + str(inventory.phrases[phrase]) + "\n")
+    return inventory
+
+
+def phrases_stage(
+    inventory: PhraseInventory, embeddings: str | Path, out: str | Path | None = None
+) -> EmbeddingStore:
+    """Embed every phrase of `inventory` from the word embeddings file;
+    with `out`, write the phrase store as a cache."""
+    store = build_phrase_store(inventory, unit_normalize(load_embeddings(embeddings)))
+    if out:
+        save_cache(store, out)
+    return store
 
 
 def lm_stage(config: PipelineConfig, corpus: Corpus, out: str | Path) -> None:
@@ -599,10 +636,7 @@ def align_stage(
     """Align a parallel corpus with IBM-2 in each direction that an output
     needs and write the links, all in source-target orientation: forward,
     reverse, and their grow-diag-final-and symmetrization."""
-    if len(src) != len(tgt):
-        raise ValueError(
-            f"align: {src.source_path} has {len(src)} lines, {tgt.source_path} has {len(tgt)}"
-        )
+    _check_lines("align", (src.source_path, len(src)), (tgt.source_path, len(tgt)))
     pairs = list(zip(src.sentences, tgt.sentences))
     forward = align_corpus(_train_aligner(config, pairs), pairs)
     if out_fwd:
@@ -615,6 +649,44 @@ def align_stage(
             write_links(reverse, out_rev)
         if out_sym:
             _symmetrize(forward, reverse, out_sym)
+
+
+def extract_stage(
+    config: PipelineConfig, src: Corpus, tgt: Corpus, links: str | Path,
+    out: str | Path | None = None,
+) -> ExtractedCounts:
+    """Count the phrase pairs that the symmetrized `links` file licenses in
+    the parallel corpus; with `out`, write the counts."""
+    link_sets = read_links(links)
+    _check_lines(
+        "extract", (src.source_path, len(src)), (tgt.source_path, len(tgt)), (links, len(link_sets))
+    )
+    counts = count_extractions(zip(src.sentences, tgt.sentences), link_sets, config.max_phrase_len)
+    if out:
+        write_extracted_counts(counts, out)
+    return counts
+
+
+def dictionary_stage(
+    config: PipelineConfig, counts: ExtractedCounts, out: str | Path
+) -> InducedDictionary:
+    """Build the ranked word dictionary from extraction counts and write it."""
+    dictionary = dictionary_from_counts(counts, config.denominator)
+    dictionary.write(out)
+    return dictionary
+
+
+def evaluate_stage(dictionary: InducedDictionary, gold: str | Path) -> str:
+    """The report line of `dictionary` against the gold file: precision at
+    one and the out-of-dictionary rate."""
+    score, oov = precision_at_1(dictionary, read_gold(gold))
+    return f"P@1 {score:.6f} OOV {oov:.6f}"
+
+
+def _read_report(path: Path) -> tuple[float, float]:
+    """(P@1, OOV rate) from a report file holding an `evaluate_stage` line."""
+    parts = path.read_text(encoding="utf-8").split()
+    return float(parts[1]), float(parts[3])
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
@@ -633,154 +705,78 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         for stale in remove_stale_temps(work_dir):
             log.info("removed %s, left by a killed writer", stale)
         runner = _Runner(work_dir, config)
-        langs = {
-            "src": (Path(config.src_corpus), Path(config.src_embeddings)),
-            "tgt": (Path(config.tgt_corpus), Path(config.tgt_embeddings)),
-        }
-        tokenized: dict[str, Path] = {}
-        phrase_npz: dict[str, Path] = {}
-        lm_paths: dict[str, Path] = {}
+        run = runner.run
 
-        for lang, (raw_corpus, raw_embeddings) in langs.items():
+        for lang, raw_corpus, raw_embeddings in (
+            ("src", config.src_corpus, config.src_embeddings),
+            ("tgt", config.tgt_corpus, config.tgt_embeddings),
+        ):
             ldir = work_dir / lang
-            tok = ldir / "corpus.txt"
-            tokenized[lang] = tok
+            tok, inv = ldir / "corpus.txt", ldir / "inventory.txt"
+            run(f"corpus:{lang}", [Path(raw_corpus)], [tok],
+                lambda raw, out: write_corpus(tokenized(config, raw), out))
+            run(f"inventory:{lang}", [tok], [inv],
+                lambda corpus, out: inventory_stage(config, _read_tokenized(corpus), out))
+            run(f"phrases:{lang}", [inv, Path(raw_embeddings)], [ldir / "phrases.npz"],
+                lambda inventory, emb, out: phrases_stage(_read_inventory(inventory), emb, out))
+            run(f"lm:{lang}", [tok], [ldir / "lm.txt"],
+                lambda corpus, out: lm_stage(config, _read_tokenized(corpus), out))
 
-            def corpus_stage(raw=raw_corpus, out=tok):
-                write_corpus(load_corpus(raw, config.aggressive_hyphens, config.lowercase), out)
-
-            runner.run(f"corpus:{lang}", [raw_corpus], [tok], corpus_stage)
-
-            inv = ldir / "inventory.txt"
-
-            def inventory_stage(tok=tok, out=inv):
-                counts = count_ngrams(_read_tokenized(tok), 3)
-                _write_inventory(
-                    build_phrase_inventory(counts, config.vocab_size, config.ngram_cap), out
-                )
-
-            runner.run(f"inventory:{lang}", [tok], [inv], inventory_stage)
-
-            npz = ldir / "phrases.npz"
-            phrase_npz[lang] = npz
-
-            def phrases_stage(inv=inv, raw=raw_embeddings, out=npz):
-                words = unit_normalize(load_embeddings(raw))
-                save_cache(build_phrase_store(_read_inventory(inv), words), out)
-
-            runner.run(f"phrases:{lang}", [inv, raw_embeddings], [npz], phrases_stage)
-
-            lm_out = ldir / "lm.txt"
-            lm_paths[lang] = lm_out
-            runner.run(
-                f"lm:{lang}", [tok], [lm_out],
-                lambda tok=tok, out=lm_out: lm_stage(config, _read_tokenized(tok), out),
-            )
-
-        table_paths = {d: work_dir / d / "phrase_table.txt" for d in DIRECTIONS}
-        tau_path = work_dir / "temperatures.txt"
-        runner.run(
-            "tables",
-            [phrase_npz["src"], phrase_npz["tgt"]],
-            [table_paths["src2tgt"], table_paths["tgt2src"], tau_path],
-            lambda: tables_stage(
-                config, load_cache(phrase_npz["src"]), load_cache(phrase_npz["tgt"]),
-                table_paths["src2tgt"], table_paths["tgt2src"], tau_path,
-            ),
-        )
+        tables = {d: work_dir / d / "phrase_table.txt" for d in DIRECTIONS}
+        run("tables", [work_dir / "src" / "phrases.npz", work_dir / "tgt" / "phrases.npz"],
+            [tables["src2tgt"], tables["tgt2src"], work_dir / "temperatures.txt"],
+            lambda src, tgt, *outs: tables_stage(config, load_cache(src), load_cache(tgt), *outs))
 
         results: dict[str, DirectionResult] = {}
         for direction in config.directions():
             source_lang, target_lang = ("src", "tgt") if direction == "src2tgt" else ("tgt", "src")
+            source, target = work_dir / source_lang, work_dir / target_lang
             opposite = "tgt2src" if direction == "src2tgt" else "src2tgt"
             ddir = work_dir / direction
-            table_path = table_paths[direction]
-            source_tok = tokenized[source_lang]
-            weights_path = ddir / "weights.txt"
-
-            runner.run(
-                f"tune:{direction}",
-                [table_path, table_paths[opposite], lm_paths[target_lang],
-                 lm_paths[source_lang], source_tok],
-                [weights_path],
-                lambda: tune_stage(
-                    config, table_path, table_paths[opposite], lm_paths[target_lang],
-                    lm_paths[source_lang], _read_tokenized(source_tok), weights_path,
-                ),
+            weights_path, counts_path, dict_path = (
+                ddir / "weights.txt", ddir / "extract_counts.txt", ddir / "dictionary.tsv"
+            )
+            syn_src, syn_tgt = ddir / "synthetic.source.txt", ddir / "synthetic.target.txt"
+            links_fwd, links_rev, links_sym = (
+                ddir / "links.forward.txt", ddir / "links.reverse.txt", ddir / "links.txt"
             )
 
-            syn_src = ddir / "synthetic.source.txt"
-            syn_tgt = ddir / "synthetic.target.txt"
-            runner.run(
-                f"translate:{direction}",
-                [table_path, lm_paths[target_lang], weights_path, source_tok],
+            run(f"tune:{direction}",
+                [tables[direction], tables[opposite], target / "lm.txt", source / "lm.txt",
+                 source / "corpus.txt"], [weights_path],
+                lambda table, opposite_table, lm, opposite_lm, corpus, out: tune_stage(
+                    config, table, opposite_table, lm, opposite_lm, _read_tokenized(corpus), out))
+            run(f"translate:{direction}",
+                [tables[direction], target / "lm.txt", weights_path, source / "corpus.txt"],
                 [syn_src, syn_tgt],
-                lambda: translate_stage(
-                    config, table_path, lm_paths[target_lang], weights_path,
-                    _read_tokenized(source_tok), syn_tgt, syn_src,
-                ),
-            )
-
-            links_fwd = ddir / "links.forward.txt"
-            links_rev = ddir / "links.reverse.txt"
-            runner.run(
-                f"align:{direction}",
-                [syn_src, syn_tgt],
-                [links_fwd, links_rev],
-                lambda: align_stage(
-                    config, _read_tokenized(syn_src), _read_tokenized(syn_tgt),
-                    links_fwd, links_rev,
-                ),
-            )
-
-            links_sym = ddir / "links.txt"
-            runner.run(
-                f"symmetrize:{direction}",
-                [links_fwd, links_rev],
-                [links_sym],
-                lambda: _symmetrize(read_links(links_fwd), read_links(links_rev), links_sym),
-            )
-
-            counts_path = ddir / "extract_counts.txt"
-
-            def extract_stage(src=syn_src, tgt=syn_tgt, links=links_sym, out=counts_path):
-                bitext = list(zip(_read_tokenized(src).sentences, _read_tokenized(tgt).sentences))
-                counts = count_extractions(bitext, read_links(links), config.max_phrase_len)
-                write_extracted_counts(counts, out)
-
-            runner.run(f"extract:{direction}", [syn_src, syn_tgt, links_sym], [counts_path], extract_stage)
-
-            dict_path = ddir / "dictionary.tsv"
-
-            def dictionary_stage(counts=counts_path, out=dict_path):
-                dictionary_from_counts(read_extracted_counts(counts), config.denominator).write(out)
-
-            runner.run(f"dictionary:{direction}", [counts_path], [dict_path], dictionary_stage)
+                lambda table, lm, weights, corpus, out_src, out_tgt: translate_stage(
+                    config, table, lm, weights, _read_tokenized(corpus), out_tgt, out_src))
+            run(f"align:{direction}", [syn_src, syn_tgt], [links_fwd, links_rev],
+                lambda src, tgt, *outs: align_stage(
+                    config, _read_tokenized(src), _read_tokenized(tgt), *outs))
+            run(f"symmetrize:{direction}", [links_fwd, links_rev], [links_sym],
+                lambda fwd, rev, out: _symmetrize(read_links(fwd), read_links(rev), out))
+            run(f"extract:{direction}", [syn_src, syn_tgt, links_sym], [counts_path],
+                lambda src, tgt, links, out: extract_stage(
+                    config, _read_tokenized(src), _read_tokenized(tgt), links, out))
+            run(f"dictionary:{direction}", [counts_path], [dict_path],
+                lambda counts, out: dictionary_stage(config, read_extracted_counts(counts), out))
 
             gold_path = config.gold_src2tgt if direction == "src2tgt" else config.gold_tgt2src
-            report_path: Path | None = None
+            report_path = ddir / "report.txt" if gold_path else None
             p_at_1 = oov_rate = None
             if gold_path:
-                report_path = ddir / "report.txt"
 
-                def evaluate_stage(pred=dict_path, gold=Path(gold_path), out=report_path):
-                    score, oov = precision_at_1(InducedDictionary.read(pred), read_gold(gold))
+                def evaluate(pred, gold, out):
                     with atomic_write(out) as fh:
-                        fh.write(f"P@1 {score:.6f} OOV {oov:.6f}\n")
+                        fh.write(evaluate_stage(InducedDictionary.read(pred), gold) + "\n")
 
-                runner.run(
-                    f"evaluate:{direction}", [dict_path, Path(gold_path)], [report_path], evaluate_stage
-                )
-                parts = report_path.read_text(encoding="utf-8").split()
-                p_at_1, oov_rate = float(parts[1]), float(parts[3])
+                run(f"evaluate:{direction}", [dict_path, Path(gold_path)], [report_path], evaluate)
+                p_at_1, oov_rate = _read_report(report_path)
 
+            dictionary = InducedDictionary.read(dict_path)
             results[direction] = DirectionResult(
-                direction=direction,
-                dictionary_path=dict_path,
-                dictionary=InducedDictionary.read(dict_path),
-                p_at_1=p_at_1,
-                oov_rate=oov_rate,
-                report_path=report_path,
+                direction, dict_path, dictionary, p_at_1, oov_rate, report_path
             )
 
         return PipelineResult(directions=results, stages=tuple(runner.records))

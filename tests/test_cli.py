@@ -208,6 +208,21 @@ class TestAlign:
         assert "lines" in capsys.readouterr().err
 
 
+class TestExtract:
+    def test_unequal_line_counts_exit_1_naming_the_files(self, tmp_path, capsys):
+        src, tgt, links = tmp_path / "src.txt", tmp_path / "tgt.txt", tmp_path / "links.txt"
+        src.write_text("a b\nc d\ne f\n", encoding="utf-8")
+        tgt.write_text("x y\nz w\n", encoding="utf-8")
+        links.write_text("0-0 1-1\n0-0 1-1\n", encoding="utf-8")
+        code = run_cli(["extract", "--src", str(src), "--tgt", str(tgt), "--links", str(links),
+                        "--out", str(tmp_path / "dict.tsv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(src) in err and str(tgt) in err
+        assert not (tmp_path / "dict.tsv").exists()
+
+
 class TestStageChain:
     """Drive every stage subcommand over the micro cipher benchmark."""
 
@@ -348,7 +363,7 @@ class TestPipelineParity:
     same bytes as the cached pipeline's work dir."""
 
     @pytest.mark.parametrize("tuning", [{"sweeps": 0}, {"sweeps": 1, "golden_iterations": 1}])
-    def test_subcommand_chain_matches_the_work_dir(self, tmp_path, tuning):
+    def test_subcommand_chain_matches_the_work_dir(self, tmp_path, capsys, tuning):
         fx = make_micro_cipher(tmp_path / "data")
         config = micro_config(fx, tmp_path / "work", **tuning)
         run_pipeline(config)
@@ -396,6 +411,9 @@ class TestPipelineParity:
         }
         for mine, theirs in pairs.items():
             assert (out / mine).read_bytes() == (work / theirs).read_bytes(), mine
+        capsys.readouterr()
+        cli("evaluate", "--pred", str(out / "dict.tsv"), "--gold", str(fx.gold))
+        assert capsys.readouterr().out.encode("utf-8") == (work / "src2tgt/report.txt").read_bytes()
 
 
 class TestConfigChecks:

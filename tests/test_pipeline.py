@@ -1,5 +1,6 @@
 """Pipeline plumbing: config files, stage caching, invalidation, locking."""
 
+import dataclasses
 import fcntl
 import os
 
@@ -13,7 +14,8 @@ from lexinduct import (
     run_pipeline,
     write_config,
 )
-from lexinduct.pipeline import LOCK_NAME, STAGE_VERSIONS, WORK_DIR_ENV, _WorkDirLock
+from lexinduct.pipeline import LOCK_NAME, STAGE_PARAMS, STAGE_VERSIONS, WORK_DIR_ENV, _WorkDirLock
+from lexinduct.tuner import TunerConfig
 
 
 
@@ -91,6 +93,30 @@ class TestConfigValidation:
         assert PipelineConfig(direction="src2tgt").directions() == ("src2tgt",)
         assert PipelineConfig(direction="tgt2src").directions() == ("tgt2src",)
         assert PipelineConfig(direction="both").directions() == ("src2tgt", "tgt2src")
+
+
+class TestStageDigests:
+    """Every config field that can change an output is in some stage's
+    digest, so a cached stage never outlives a change of its settings."""
+
+    FIELDS = {f.name for f in dataclasses.fields(PipelineConfig)}
+    HASHED = {name for params in STAGE_PARAMS.values() for name in params}
+    # Paths enter digests through their files' contents, `direction` picks
+    # the stages that run and `workers` changes only the speed.
+    UNHASHED = {"src_corpus", "tgt_corpus", "src_embeddings", "tgt_embeddings", "work_dir",
+                "gold_src2tgt", "gold_tgt2src", "direction", "workers"}
+
+    def test_versions_and_params_name_the_same_stages(self):
+        assert set(STAGE_VERSIONS) == set(STAGE_PARAMS)
+
+    def test_params_are_config_fields(self):
+        assert self.HASHED <= self.FIELDS
+
+    def test_every_other_field_is_in_a_digest(self):
+        assert self.FIELDS - self.UNHASHED - self.HASHED == set()
+
+    def test_tuner_fields_are_in_the_tune_digest(self):
+        assert {f.name for f in dataclasses.fields(TunerConfig)} <= set(STAGE_PARAMS["tune"])
 
 
 LANG_STAGES = [f"{s}:{l}" for l in ("src", "tgt") for s in ("corpus", "inventory", "phrases", "lm")]
