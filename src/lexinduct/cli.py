@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tgt", required=True)
     p.add_argument("--links", required=True, help="symmetrized link file")
     p.add_argument("--out", required=True, help="dictionary tsv output")
-    p.add_argument("--counts", help="optional phrase-pair count dump")
+    p.add_argument("--counts", help="optional dump of the one-word-source phrase-pair counts")
     p.add_argument("--max-phrase-len", type=int)
     p.add_argument("--denominator", choices=("filtered", "full"))
 

@@ -6,7 +6,8 @@ max_len words, at least one alignment link falls inside, and no link crosses
 the span boundary (the standard consistency definition). The minimal target
 span is additionally extended over adjacent *unaligned target* words;
 source spans are enumerated exhaustively, so no source-side extension pass
-is needed.
+is needed. The dictionary reads only pairs with a one-word source, so
+`count_extractions` extracts only those; `extract_phrases` gives every pair.
 """
 
 from __future__ import annotations
@@ -75,6 +76,11 @@ def extract_phrases(
     Returns one entry per extraction occurrence (duplicates preserved so the
     caller can count). Deterministic order: by source span, then target span.
     """
+    return _extract(src_tokens, tgt_tokens, links, max_len, max_len)
+
+
+def _extract(src_tokens, tgt_tokens, links: set[Link], max_len: int, max_src: int):
+    """`extract_phrases` restricted to source spans of at most `max_src` words."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     m, n = len(src_tokens), len(tgt_tokens)
@@ -84,7 +90,7 @@ def extract_phrases(
     aligned_tgt = {t for _, t in links}
     pairs: list[tuple[Phrase, Phrase]] = []
     for i1 in range(m):
-        for i2 in range(i1, min(i1 + max_len, m)):
+        for i2 in range(i1, min(i1 + max_src, m)):
             inside = [(s, t) for s, t in links if i1 <= s <= i2]
             if not inside:
                 continue
@@ -121,12 +127,14 @@ def count_extractions(
     link_sets: Iterable[set[Link]],
     max_len: int = 3,
 ) -> ExtractedCounts:
-    """Run extraction over a parallel corpus and tally pair occurrences."""
+    """Run extraction over a parallel corpus and tally the occurrences of
+    the pairs whose source is one word, the only ones the dictionary reads;
+    their target spans still reach `max_len` words."""
     counts = ExtractedCounts()
     n_pairs = 0
     for (src, tgt), links in zip(bitext, link_sets, strict=True):
         n_pairs += 1
-        for pair in extract_phrases(src, tgt, links, max_len):
+        for pair in _extract(src, tgt, links, max_len, 1):
             counts.pairs[pair] += 1
     if n_pairs == 0:
         raise ValueError("empty bitext")
@@ -175,15 +183,10 @@ def dictionary_from_counts(
     unigram = {
         (s[0], t[0]): c for (s, t), c in counts.pairs.items() if len(s) == 1 and len(t) == 1
     }
-    if denominator == "filtered":
-        marginal: Counter = Counter()
-        for (s, _), c in unigram.items():
-            marginal[s] += c
-    else:
-        marginal = Counter()
-        for (s, _), c in counts.pairs.items():
-            if len(s) == 1:
-                marginal[s[0]] += c
+    marginal: Counter = Counter()
+    for (s, t), c in counts.pairs.items():
+        if len(s) == 1 and (len(t) == 1 or denominator == "full"):
+            marginal[s[0]] += c
     by_src: dict[str, list[tuple[str, float, int]]] = {}
     for (s, t), c in unigram.items():
         by_src.setdefault(s, []).append((t, c / marginal[s], c))

@@ -5,9 +5,9 @@ requested direction):
 
     corpus -> inventory -> phrase embeddings -\\
     corpus -> language model                   > tables -> tune -> translate
-                                                     -> align -> symmetrize
-                                                     -> extract -> dictionary
-                                                     -> evaluate
+                                                     -> align, with symmetrization
+                                                     -> extract, one-word sources only
+                                                     -> dictionary -> evaluate
 
 Every stage's inputs are content-addressed: the stage digest is a sha256
 over the stage name, its code version (`STAGE_VERSIONS`), its parameters,
@@ -85,8 +85,7 @@ STAGE_VERSIONS = {
     "tune": 1,
     "translate": 1,
     "align": 2,
-    "symmetrize": 1,
-    "extract": 1,
+    "extract": 2,
     "dictionary": 1,
     "evaluate": 1,
 }
@@ -105,7 +104,6 @@ STAGE_PARAMS: dict[str, tuple[str, ...]] = {
     ),
     "translate": _DECODER_PARAMS + ("corpus_cap",),
     "align": ("align_iterations", "align_tension", "align_null_prob", "align_grad_steps"),
-    "symmetrize": (),
     "extract": ("max_phrase_len",),
     "dictionary": ("denominator",),
     "evaluate": (),
@@ -274,12 +272,16 @@ def write_config(config: PipelineConfig, path: str | Path) -> None:
 
 
 def read_config(path: str | Path) -> PipelineConfig:
-    """Parse a config file; unknown sections or keys are fatal, missing keys
-    fall back to the defaults."""
+    """Parse a config file; unknown sections or keys and malformed files
+    are fatal, missing keys fall back to the defaults."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     with open(path, encoding="utf-8") as fh:
-        parser.read_file(fh, source=str(path))
+        try:
+            parser.read_file(fh, source=str(path))
+        except configparser.Error as exc:
+            # configparser names the file; its messages may span lines.
+            raise ValueError(" ".join(str(exc).split())) from None
     known = {(sec, opt): (field, kind) for sec, opt, field, kind in _CONFIG_LAYOUT}
     kwargs = {}
     for section in parser.sections():
@@ -510,12 +512,6 @@ def _check_lines(stage: str, *files: tuple[str | Path, int]) -> None:
         raise ValueError(f"{stage}: {counts}")
 
 
-def _symmetrize(forward, reverse, out: str | Path) -> None:
-    if len(forward) != len(reverse):
-        raise ValueError("directional link files differ in length")
-    write_links([grow_diag_final_and(a, b) for a, b in zip(forward, reverse)], out)
-
-
 def tokenized(config: PipelineConfig, path: str | Path) -> Corpus:
     """Read a raw corpus file and tokenize it by the config's rules."""
     return load_corpus(path, config.aggressive_hyphens, config.lowercase)
@@ -648,15 +644,15 @@ def align_stage(
         if out_rev:
             write_links(reverse, out_rev)
         if out_sym:
-            _symmetrize(forward, reverse, out_sym)
+            write_links([grow_diag_final_and(a, b) for a, b in zip(forward, reverse)], out_sym)
 
 
 def extract_stage(
     config: PipelineConfig, src: Corpus, tgt: Corpus, links: str | Path,
     out: str | Path | None = None,
 ) -> ExtractedCounts:
-    """Count the phrase pairs that the symmetrized `links` file licenses in
-    the parallel corpus; with `out`, write the counts."""
+    """Count the one-word-source phrase pairs that the symmetrized `links`
+    file licenses in the parallel corpus; with `out`, write the counts."""
     link_sets = read_links(links)
     _check_lines(
         "extract", (src.source_path, len(src)), (tgt.source_path, len(tgt)), (links, len(link_sets))
@@ -751,11 +747,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 [syn_src, syn_tgt],
                 lambda table, lm, weights, corpus, out_src, out_tgt: translate_stage(
                     config, table, lm, weights, _read_tokenized(corpus), out_tgt, out_src))
-            run(f"align:{direction}", [syn_src, syn_tgt], [links_fwd, links_rev],
+            run(f"align:{direction}", [syn_src, syn_tgt], [links_fwd, links_rev, links_sym],
                 lambda src, tgt, *outs: align_stage(
                     config, _read_tokenized(src), _read_tokenized(tgt), *outs))
-            run(f"symmetrize:{direction}", [links_fwd, links_rev], [links_sym],
-                lambda fwd, rev, out: _symmetrize(read_links(fwd), read_links(rev), out))
             run(f"extract:{direction}", [syn_src, syn_tgt, links_sym], [counts_path],
                 lambda src, tgt, links, out: extract_stage(
                     config, _read_tokenized(src), _read_tokenized(tgt), links, out))

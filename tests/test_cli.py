@@ -222,6 +222,17 @@ class TestExtract:
         assert str(src) in err and str(tgt) in err
         assert not (tmp_path / "dict.tsv").exists()
 
+    def test_out_of_range_link_exits_1(self, tmp_path, capsys):
+        src, tgt, links = tmp_path / "src.txt", tmp_path / "tgt.txt", tmp_path / "links.txt"
+        src.write_text("a b\n", encoding="utf-8")
+        tgt.write_text("x y\n", encoding="utf-8")
+        links.write_text("0-0 1-2\n", encoding="utf-8")
+        code = run_cli(["extract", "--src", str(src), "--tgt", str(tgt), "--links", str(links),
+                        "--out", str(tmp_path / "dict.tsv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: link 1-2 out of range")
+        assert not (tmp_path / "dict.tsv").exists()
+
 
 class TestStageChain:
     """Drive every stage subcommand over the micro cipher benchmark."""
@@ -356,6 +367,21 @@ class TestPipelineCommand:
     def test_missing_config_file_exits_1(self, tmp_path, capsys):
         assert run_cli(["pipeline", "--config", str(tmp_path / "absent.cfg")]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "body", ["order = 3\n", "[lm]\norder = 3\norder = 4\n"],
+        ids=["no_section_header", "duplicate_key"],
+    )
+    def test_malformed_config_exits_1_without_a_traceback(self, tmp_path, body):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(body, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "lexinduct.cli", "pipeline", "--config", str(cfg)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and str(cfg) in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestPipelineParity:

@@ -93,6 +93,34 @@ class TestExtractionOracle:
 
 
 class TestCountExtractions:
+    @pytest.mark.parametrize("max_len", [1, 2, 3])
+    def test_one_word_sources_of_the_oracle(self, max_len):
+        rng = random.Random(90 + max_len)
+        bitext, link_sets, every = [], [], Counter()
+        for _ in range(50):
+            m, n = rng.randint(1, 8), rng.randint(1, 8)
+            # A small vocabulary, so pairs recur across sentences.
+            src = [f"s{rng.randrange(4)}" for _ in range(m)]
+            tgt = [f"t{rng.randrange(4)}" for _ in range(n)]
+            links = {
+                (rng.randrange(m), rng.randrange(n)) for _ in range(rng.randint(0, m + n))
+            }
+            bitext.append((src, tgt))
+            link_sets.append(links)
+            every += oracle_extractions(src, tgt, links, max_len)
+        counts = count_extractions(bitext, link_sets, max_len)
+        one_word = Counter({(s, t): c for (s, t), c in every.items() if len(s) == 1})
+        assert counts.pairs == one_word
+        for denominator in ("filtered", "full"):
+            assert (
+                dictionary_from_counts(counts, denominator).entries
+                == dictionary_from_counts(ExtractedCounts(every), denominator).entries
+            )
+
+    def test_out_of_range_link_fatal(self):
+        with pytest.raises(ValueError, match="out of range"):
+            count_extractions([(["a", "b"], ["x"])], [{(0, 0), (1, 3)}])
+
     def test_tallies_across_pairs(self):
         bitext = [(["a"], ["x"]), (["a"], ["x"]), (["b"], ["y"])]
         links = [{(0, 0)}, {(0, 0)}, {(0, 0)}]

@@ -1,8 +1,14 @@
-"""Pipeline plumbing: config files, stage caching, invalidation, locking."""
+"""Pipeline plumbing: config files, stage caching, invalidation, locking,
+and the names the benchmark tracer wraps."""
 
 import dataclasses
 import fcntl
+import json
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -60,12 +66,14 @@ class TestConfigFile:
 
     @pytest.mark.parametrize(
         "body",
-        ["[lm]\norder = three\n", "[lm]\ndiscount = x\n", "[corpus]\nlowercase = yes\n"],
+        ["[lm]\norder = three\n", "[lm]\ndiscount = x\n", "[corpus]\nlowercase = yes\n",
+         # A file configparser cannot read: no section header, a duplicate key.
+         "order = 3\n", "[lm]\norder = 3\norder = 4\n"],
     )
     def test_bad_values_fatal(self, tmp_path, body):
         path = tmp_path / "run.cfg"
         path.write_text(body, encoding="utf-8")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             read_config(path)
 
 
@@ -130,7 +138,7 @@ class TestRunAndCache:
         assert r.dictionary_path.exists() and r.report_path.exists()
         assert r.p_at_1 is not None and r.p_at_1 >= 0.9
         assert r.oov_rate == 0.0
-        assert len(result.ran()) == 16 and result.cached() == []
+        assert len(result.ran()) == 15 and result.cached() == []
         for word, translation in list(fx.mapping.items())[:5]:
             assert r.dictionary.top1(word) == translation
 
@@ -140,7 +148,7 @@ class TestRunAndCache:
         run_pipeline(config)
         again = run_pipeline(config)
         assert again.ran() == []
-        assert len(again.cached()) == 16
+        assert len(again.cached()) == 15
         assert again.directions["src2tgt"].p_at_1 is not None
 
     def test_mtime_change_alone_stays_cached(self, tmp_path):
@@ -181,7 +189,7 @@ class TestRunAndCache:
         result = run_pipeline(config)
         # Same table bytes, so every stage downstream of tables stays cached.
         assert result.ran() == ["tables"]
-        assert len(result.cached()) == 15
+        assert len(result.cached()) == 14
         assert run_pipeline(config).ran() == []
 
     def test_damaged_output_is_rebuilt(self, tmp_path):
@@ -193,6 +201,18 @@ class TestRunAndCache:
         assert result.ran() == ["dictionary:src2tgt"]
         # The rebuilt dictionary is byte-identical, so evaluation stays cached.
         assert "evaluate:src2tgt" in result.cached()
+
+    def test_align_stage_writes_the_symmetrized_links(self, tmp_path):
+        fx = micro(tmp_path / "data")
+        config = micro_config(fx, tmp_path / "work")
+        run_pipeline(config)
+        links = tmp_path / "work" / "src2tgt" / "links.txt"
+        written = links.read_bytes()
+        links.unlink()
+        result = run_pipeline(config)
+        # Rebuilt with the same bytes, so extraction stays cached.
+        assert result.ran() == ["align:src2tgt"]
+        assert links.read_bytes() == written
 
     def test_work_dir_env_override(self, tmp_path, monkeypatch):
         fx = micro(tmp_path / "data")
@@ -328,3 +348,33 @@ class TestLocking:
         work = tmp_path / "work"
         run_pipeline(micro_config(fx, work))
         assert not (work / LOCK_NAME).exists()
+
+
+class TestTracerContract:
+    """`perfbench/tracing.py` wraps the pipeline's public functions by name;
+    a traced micro run must still work and record the tail's spans."""
+
+    SCRIPT = (
+        "import json, sys\n"
+        "from tracing import Tracer, install\n"
+        "from lexinduct import read_config, run_pipeline\n"
+        "tracer = Tracer()\n"
+        "install(tracer)\n"
+        "run_pipeline(read_config(sys.argv[1]))\n"
+        "print(json.dumps(sorted({span.name for span in tracer.spans})))\n"
+    )
+
+    def test_traced_pipeline_records_the_tail(self, tmp_path):
+        fx = micro(tmp_path / "data")
+        cfg = tmp_path / "run.cfg"
+        write_config(micro_config(fx, tmp_path / "work"), cfg)
+        root = Path(__file__).resolve().parent.parent
+        path = [str(root / "perfbench"), str(root / "src"), os.environ.get("PYTHONPATH", "")]
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(cfg)], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        spans = set(json.loads(proc.stdout))
+        assert {"aligner.train_ibm2", "aligner.grow_diag_final_and",
+                "lexicon.count_extractions", "lexicon.read_extracted_counts"} <= spans
