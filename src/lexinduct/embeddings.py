@@ -84,8 +84,7 @@ class EmbeddingStore:
         if self._lexrank is None:
             order = sorted(range(len(self.vocab)), key=lambda i: self.vocab[i])
             rank = np.empty(len(self.vocab), dtype=np.int64)
-            for pos, i in enumerate(order):
-                rank[i] = pos
+            rank[order] = np.arange(len(self.vocab))
             self._lexrank = rank
         return self._lexrank
 

@@ -9,7 +9,8 @@ the ascending token.
 - nn: plain cosine nearest neighbor.
 - inv_nn: rank the query among all source words by cosine to each target,
   prefer the target giving the best (lowest) rank; the keys are minus the
-  rank, then the cosine. Counteracts hub targets.
+  rank, then the cosine. Counteracts hub targets. Each target column is
+  sorted once per call, and sources tying on a target share its best rank.
 - inv_softmax: softmax over the *source* vocabulary per target at a fixed
   temperature, so hub targets split their mass across many sources.
 - csls: 2*cos(x, y) - r_T(x) - r_S(y), each r the mean cosine to the k
@@ -60,6 +61,36 @@ def _mean_topk(matrix: np.ndarray, k: int, axis: int) -> np.ndarray:
     return part[size - k :, :].mean(axis=0)
 
 
+# Target columns sorted per step: their transposed copy and sort buffers stay
+# a small fraction of the cosine matrix.
+_COLUMN_BLOCK = 64
+
+
+def _neg_column_ranks(cos: np.ndarray) -> np.ndarray:
+    """Minus each cosine's rank in its column, as float64 of cos's shape.
+
+    rank = 1 + the cosines above it in its column = len(cos) + 1 - the
+    cosines at most it; that count is one past the last position of its run
+    of equal values in the sorted column. Each column is sorted once.
+    """
+    n_src, n_tgt = cos.shape
+    neg_rank = np.empty(cos.shape)
+    positions = np.arange(n_src - 1)
+    for start in range(0, n_tgt, _COLUMN_BLOCK):
+        cols = np.ascontiguousarray(cos[:, start : start + _COLUMN_BLOCK].T)
+        order = np.argsort(cols, axis=1)
+        ordered = np.take_along_axis(cols, order, axis=1)
+        # A run ends where the next value differs or the column does; every
+        # position takes the nearest run end at or after it.
+        ends = np.full(ordered.shape, n_src - 1)
+        ends[:, :-1] = np.where(ordered[:, :-1] != ordered[:, 1:], positions, n_src - 1)
+        last = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1]
+        block = np.empty(cols.shape)
+        np.put_along_axis(block, order, last - float(n_src), axis=1)
+        neg_rank[:, start : start + _COLUMN_BLOCK] = block.T
+    return neg_rank
+
+
 def rank_candidates(
     src: EmbeddingStore,
     tgt: EmbeddingStore,
@@ -71,7 +102,9 @@ def rank_candidates(
     the configured method, as `Neighbors`, the type `k_nearest` returns.
 
     Builds the complete source x target cosine matrix, so memory grows with
-    both vocabularies; meant for evaluation-sized stores.
+    both vocabularies; meant for evaluation-sized stores. inv_nn sorts each
+    target column once and holds a float64 rank table of the same size on
+    top of the matrix.
     """
     if top is not None and top < 1:
         raise ValueError("top must be >= 1 when given")
@@ -95,16 +128,11 @@ def rank_candidates(
             return (cos[rows],)
 
     elif config.method == "inv_nn":
-        col_sorted = np.sort(cos.T, axis=1)
+        neg_rank = _neg_column_ranks(cos)
 
         def score_rows(rows):
-            # Minus the rank: rank = 1 + the cosines above it in its column
-            # = len(cos) + 1 - the cosines at most it. Equal ranks go to the
-            # higher cosine.
-            at_most = np.empty((len(rows), len(col_sorted)))
-            for y, col in enumerate(col_sorted):
-                at_most[:, y] = np.searchsorted(col, cos[rows, y], side="right")
-            return at_most - (len(cos) + 1.0), cos[rows]
+            # Equal ranks go to the higher cosine.
+            return neg_rank[rows], cos[rows]
 
     elif config.method == "inv_softmax":
         t = config.softmax_temperature

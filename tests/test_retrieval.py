@@ -126,6 +126,60 @@ class TestAgainstPerQueryOracle:
             assert decided
 
 
+def repeated_sources(rng, base_rows, dim):
+    """Source vectors repeated under other, shuffled tokens, so several
+    sources have the exact same cosine to every target."""
+    base = rng.normal(size=(base_rows, dim))
+    vectors = np.vstack([base, base[:8], base[4:10], base[4:7]])
+    names = rng.permutation(len(vectors))
+    return unit_normalize(EmbeddingStore(
+        tuple(f"s{i:03d}" for i in names), vectors.astype(np.float32)
+    ))
+
+
+def has_column_ties(src, tgt):
+    cos = cosine_matrix(src, tgt)
+    return any(len(np.unique(col)) < len(col) for col in cos.T)
+
+
+class TestTiesWithinColumns:
+    """Sources that tie on a target share its best rank: inv_nn counts only
+    the cosines strictly above theirs."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_candidate_and_score_equal_across_column_blocks(self, method):
+        rng = np.random.default_rng(26)
+        src = repeated_sources(rng, 40, 6)
+        tgt = normalized_store(rng.normal(size=(650, 6)), "t")
+        assert has_column_ties(src, tgt)
+        queries = list(src.vocab) + ["absent"]
+        config = RetrievalConfig(method=method, softmax_temperature=10.0, csls_k=4)
+        for top in (None, 1, 10):
+            got = rank_candidates(src, tgt, queries, config, top=top)
+            want = rank_per_query(src, tgt, queries, config, top=top)
+            assert len(got) == len(want) == len(src)
+            for g, w in zip(got, want):
+                assert g.query == w.query
+                assert g.candidates == w.candidates
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_small_case_matches_reference_order(self, method):
+        rng = np.random.default_rng(27)
+        config = RetrievalConfig(method=method, softmax_temperature=5.0, csls_k=3)
+        for _ in range(4):
+            src = repeated_sources(rng, 12, 4)
+            tgt = normalized_store(rng.normal(size=(9, 4)), "t")
+            assert has_column_ties(src, tgt)
+            cos = cosine_matrix(src, tgt)
+            results = rank_candidates(src, tgt, list(src.vocab), config)
+            for row, res in enumerate(results):
+                want = reference_order(cos, row, tgt.vocab, config)
+                assert [t for t, _ in res.candidates] == [tgt.vocab[y] for y in want]
+                if method == "inv_nn":
+                    for y, (_, score) in zip(want, res.candidates):
+                        assert score == -1.0 - np.count_nonzero(cos[:, y] > cos[row, y])
+
+
 class TestHubFixture:
     """Two sources, a hub target, and a de-hubbed alternative.
 
