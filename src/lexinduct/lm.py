@@ -26,6 +26,7 @@ between them is numpy's, which rounds exactly like Python's floats.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -329,7 +330,16 @@ def save_lm(model: NGramModel, path: str | Path) -> None:
 
 def load_lm(path: str | Path) -> NGramModel:
     """Parse a file written by `save_lm`; a malformed header or entry
-    raises ValueError naming the file and line."""
+    raises ValueError naming the file and line.
+
+    Tokens are shared: as in a trained model, every key holds one `str`
+    object per vocabulary word, so the model keeps one copy of each token.
+    Entries are parsed in bulk, a block of lines at a time: one `split`
+    for the fields, one per run of equal-order n-grams for their tokens, a
+    dict that maps each token to its first copy, and `float` over the
+    values. Only a malformed file is read again line by line, to name the
+    line.
+    """
     with open(path, encoding="utf-8") as fh:
         head = fh.readline().split()
         if len(head) != 2 or head[0] != FORMAT_TAG:
@@ -348,15 +358,77 @@ def load_lm(path: str | Path) -> NGramModel:
             raise ValueError(f"{path}: line 2: order must be >= 1, got {header[0]}")
         logprob: dict[NGram, float] = {}
         backoff: dict[NGram, float] = {}
-        for lineno, line in enumerate(fh, 5):
-            if not line.strip():
+        shared: dict[str, str] = {}
+        try:
+            for block in iter(functools.partial(fh.readlines, _BLOCK_BYTES), []):
+                _parse_block(block, shared, logprob, backoff)
+        except ValueError:
+            _raise_at_bad_line(path)
+            raise
+    return NGramModel(header[0], header[1], logprob, backoff, header[2])
+
+
+# Bytes of lm.txt that `load_lm` parses at once: enough lines that the
+# per-block calls cost little, few enough that the block's temporary lists
+# stay small next to the model (and cheap for the garbage collector).
+_BLOCK_BYTES = 1 << 14
+# Every byte but tab, newline and space, which delimit fields and tokens.
+_NOT_DELIMITERS = bytes(sorted(set(range(256)) - {9, 10, 32}))
+
+
+def _parse_block(
+    lines: list[str],
+    shared: dict[str, str],
+    logprob: dict[NGram, float],
+    backoff: dict[NGram, float],
+) -> None:
+    """Add the entries of `lines` to the tables, each token replaced by its
+    copy in `shared` (added there if new); ValueError, naming no line, on a
+    malformed entry.
+
+    A block whose delimiters are three fields per line and one n-gram
+    order throughout, as `save_lm` writes all but a few, is checked by one
+    comparison; any other block line by line.
+    """
+    lines = list(filter(str.strip, lines))
+    if not lines:
+        return
+    text = "".join(lines)
+    if text[-1] != "\n":
+        text += "\n"
+    fields = text.replace("\n", "\t").split("\t")
+    del fields[3 * len(lines) :]
+    grams = fields[1::3]
+    spaces = grams[0].count(" ")
+    delimiters = text.encode().translate(None, _NOT_DELIMITERS)
+    if delimiters == (b"\t" + b" " * spaces + b"\t\n") * len(lines):
+        runs = [(spaces, len(grams))]
+    elif list(map(str.count, lines, itertools.repeat("\t"))).count(2) != len(lines):
+        raise ValueError("an entry without 3 tab fields")
+    else:
+        counts = map(str.count, grams, itertools.repeat(" "))
+        runs = [(k, len(list(run))) for k, run in itertools.groupby(counts)]
+    keys: list[NGram] = []
+    start = 0
+    for spaces, size in runs:
+        tokens = " ".join(grams[start : start + size]).split(" ")
+        keys += zip(*[map(shared.setdefault, tokens, tokens)] * (spaces + 1))
+        start += size
+    for table, values in ((logprob, fields[0::3]), (backoff, fields[2::3])):
+        present = list(map("-".__ne__, values))
+        floats = map(float, itertools.compress(values, present))
+        table.update(zip(itertools.compress(keys, present), floats))
+
+
+def _raise_at_bad_line(path: str | Path) -> None:
+    """Raise ValueError naming the first malformed entry of the file."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if lineno <= 4 or not line.strip():
                 continue
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 3:
                 raise ValueError(f"{path}: line {lineno}: expected 3 tab fields")
-            gram = tuple(parts[1].split(" "))
-            if parts[0] != "-":
-                logprob[gram] = parse_number(float, parts[0], path, lineno)
-            if parts[2] != "-":
-                backoff[gram] = parse_number(float, parts[2], path, lineno)
-    return NGramModel(header[0], header[1], logprob, backoff, header[2])
+            for text in (parts[0], parts[2]):
+                if text != "-":
+                    parse_number(float, text, path, lineno)

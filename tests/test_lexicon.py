@@ -15,6 +15,7 @@ from lexinduct import (
     read_extracted_counts,
     write_extracted_counts,
 )
+from lexinduct.lexicon import _one_word_pairs
 
 
 class TestExtractPhrasesByHand:
@@ -116,6 +117,19 @@ class TestCountExtractions:
                 dictionary_from_counts(counts, denominator).entries
                 == dictionary_from_counts(ExtractedCounts(every), denominator).entries
             )
+
+    @pytest.mark.parametrize("max_len", [1, 2, 3])
+    def test_linear_extractor_lists_the_one_word_sources_of_extract_phrases(self, max_len):
+        rng = random.Random(95 + max_len)
+        for _ in range(300):
+            m, n = rng.randint(1, 10), rng.randint(1, 10)
+            src = [f"s{i}" for i in range(m)]
+            tgt = [f"t{j}" for j in range(n)]
+            links = {
+                (rng.randrange(m), rng.randrange(n)) for _ in range(rng.randint(0, 2 * (m + n)))
+            }
+            want = [(s, t) for s, t in extract_phrases(src, tgt, links, max_len) if len(s) == 1]
+            assert _one_word_pairs(src, tgt, links, max_len) == want
 
     def test_out_of_range_link_fatal(self):
         with pytest.raises(ValueError, match="out of range"):

@@ -1,6 +1,7 @@
 """Kneser-Ney language model: hand values, normalization, invariances, IO."""
 
 import gc
+import itertools
 import math
 import random
 import re
@@ -226,15 +227,75 @@ class TestSerialization:
         ("lexinduct-lm 1\norder 2\ndiscount 0.75\n", 4),
         ("lexinduct-lm 1\norder 2\ndiscount 0.75\nunseen -1.0\n-0.5\ta\t-\nhalf\tb\t-\n", 6),
         ("lexinduct-lm 1\norder 2\ndiscount 0.75\nunseen -1.0\n-0.5\ta\tnone\n", 5),
+        ("lexinduct-lm 1\norder 2\ndiscount 0.75\nunseen -1.0\n-0.5\ta\t-\n-0.6\tb\n-0.7\tc\t-\n", 6),
+        ("lexinduct-lm 1\norder 2\ndiscount 0.75\nunseen -1.0\n-0.5\ta\t-\n-0.6\tb\t-\t-\n-0.7\tc\t-\n", 6),
+        # A long line and a short one keep the file's field count; shifted by
+        # one field, the second line's fields would still parse.
+        ("lexinduct-lm 1\norder 2\ndiscount 0.75\nunseen -1.0\n-0.5\ta b\t-\t-0.1\n-0.7\t-\n", 5),
+        ("lexinduct-lm 1\norder 2\ndiscount 0.75\nunseen -1.0\n-0.5\ta\n\n-0.6\tb\t-\t-\n", 5),
+        ("lexinduct-lm 1\norder 2\ndiscount 0.75\nunseen -1.0\n\n-0.5\ta\t-\n \n-0.5\tb c\tx\n", 8),
     ], ids=[
         "order-without-value", "order-not-integer", "order-zero", "discount-without-value",
         "unseen-not-number", "unseen-missing", "logprob-not-number", "backoff-not-number",
+        "two-tab-fields", "four-tab-fields", "four-then-two-fields", "two-then-four-fields",
+        "after-blank-lines",
     ])
     def test_malformed_header_or_value_names_file_and_line(self, tmp_path, text, line):
         path = tmp_path / "bad.lm"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {line}: "):
             load_lm(path)
+
+    def test_malformed_line_deep_in_the_file_is_named(self, tmp_path):
+        # The loader parses a file in blocks; these lines lie far past the first.
+        path = tmp_path / "model.lm"
+        save_lm(train_lm(chain_corpus(300, vocab_size=40, seed=14), order=5), path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert len(lines) > 1900
+        for index, bad in ((1500, "-0.5\tx"), (1800, "-0.5\ta b\t-\t-"), (1900, "-0.5\ta b\tnan?")):
+            path.write_text("\n".join(lines[:index] + [bad] + lines[index + 1 :]), encoding="utf-8")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {index + 1}: "):
+                load_lm(path)
+
+    def test_blank_lines_between_entries_are_skipped(self, tmp_path):
+        path = tmp_path / "model.lm"
+        save_lm(train_lm(chain_corpus(10, seed=15), order=3), path)
+        want = load_lm(path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        fillers = itertools.cycle(["", "\n", "\n \t\n", "\n\t\t"])
+        spaced = lines[:4] + [""] + [line + filler for line, filler in zip(lines[4:], fillers)]
+        path.write_text("\n".join(spaced), encoding="utf-8")
+        got = load_lm(path)
+        assert (got.order, got.discount, got.log_unseen) == (want.order, want.discount, want.log_unseen)
+        assert list(got.logprob.items()) == list(want.logprob.items())
+        assert list(got.backoff.items()) == list(want.backoff.items())
+
+    def test_token_without_a_unigram_row_loads(self, tmp_path):
+        model = NGramModel(
+            order=3,
+            discount=0.75,
+            logprob={("a",): -0.5, ("b", "c"): -0.25, ("x", "y", "a"): -0.75},
+            backoff={("b",): -0.1, ("x", "y"): -0.2},
+            log_unseen=-3.0,
+        )
+        path = tmp_path / "model.lm"
+        save_lm(model, path)
+        back = load_lm(path)
+        assert back.logprob == model.logprob
+        assert back.backoff == model.backoff
+        assert back.vocab == (UNK, "a")
+
+    def test_tokens_are_shared_and_rewrite_is_byte_stable(self, tmp_path):
+        p1, p2 = tmp_path / "a.lm", tmp_path / "b.lm"
+        save_lm(train_lm(chain_corpus(300, seed=16), order=5), p1)
+        model = load_lm(p1)
+        assert any(key[0] == BOS for key in model.backoff)
+        first: dict[str, str] = {}
+        for key in itertools.chain(model.logprob, model.backoff):
+            for token in key:
+                assert first.setdefault(token, token) is token
+        save_lm(model, p2)
+        assert p1.read_bytes() == p2.read_bytes()
 
     def test_non_numeric_version_names_the_file(self, tmp_path):
         path = tmp_path / "bad.lm"
