@@ -77,79 +77,56 @@ def extract_phrases(
     Returns one entry per extraction occurrence (duplicates preserved so the
     caller can count). Deterministic order: by source span, then target span.
     """
-    m, n = len(src_tokens), len(tgt_tokens)
-    _check_links(m, n, links, max_len)
-    aligned_tgt = {t for _, t in links}
-    pairs: list[tuple[Phrase, Phrase]] = []
-    for i1 in range(m):
-        for i2 in range(i1, min(i1 + max_len, m)):
-            inside = [(s, t) for s, t in links if i1 <= s <= i2]
-            if not inside:
-                continue
-            j1 = min(t for _, t in inside)
-            j2 = max(t for _, t in inside)
-            if any(not (i1 <= s <= i2) for s, t in links if j1 <= t <= j2):
-                continue
-            src_phrase = tuple(src_tokens[i1 : i2 + 1])
-            for jj1, jj2 in _target_spans(j1, j2, n, aligned_tgt, max_len):
-                pairs.append((src_phrase, tuple(tgt_tokens[jj1 : jj2 + 1])))
-    return pairs
+    return _extract(src_tokens, tgt_tokens, links, max_len, max_len)
 
 
-def _one_word_pairs(src_tokens, tgt_tokens, links: set[Link], max_len: int):
-    """`extract_phrases` restricted to one-word sources, in its order.
+def _extract(src_tokens, tgt_tokens, links: set[Link], max_len: int, max_src: int):
+    """`extract_phrases` restricted to source spans of at most `max_src` words.
 
-    Linear in the sentence and its links: the links are indexed by source
-    position, and a prefix count of links per target position tells in one
-    subtraction whether another source word links into a target span.
+    Linear in the links plus the source spans: the links are indexed by
+    source position, each span keeps the running bounds and count of its
+    links as it grows, and a prefix count of links per target position
+    tells in one subtraction whether another source word links into the
+    span's target span.
     """
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
     m, n = len(src_tokens), len(tgt_tokens)
-    _check_links(m, n, links, max_len)
     targets: list[list[int]] = [[] for _ in range(m)]
     per_target = [0] * (n + 1)
     for s, t in links:
+        if not (0 <= s < m and 0 <= t < n):
+            raise ValueError(f"link {s}-{t} out of range for lengths {m},{n}")
         targets[s].append(t)
         per_target[t + 1] += 1
     # before[j]: the number of links whose target lies before position j.
     before = list(itertools.accumulate(per_target))
     aligned_tgt = {t for _, t in links}
     pairs: list[tuple[Phrase, Phrase]] = []
-    for i, linked in enumerate(targets):
-        if not linked:
-            continue
-        j1, j2 = min(linked), max(linked)
-        if before[j2 + 1] - before[j1] != len(linked):
-            continue
-        for jj1, jj2 in _target_spans(j1, j2, n, aligned_tgt, max_len):
-            pairs.append(((src_tokens[i],), tuple(tgt_tokens[jj1 : jj2 + 1])))
+    for i1 in range(m):
+        j1, j2, inside = n, -1, 0
+        for i2 in range(i1, min(i1 + max_src, m)):
+            if targets[i2]:
+                j1 = min(j1, *targets[i2])
+                j2 = max(j2, *targets[i2])
+                inside += len(targets[i2])
+            if not inside or before[j2 + 1] - before[j1] != inside:
+                continue
+            src_phrase = tuple(src_tokens[i1 : i2 + 1])
+            # Extend over unaligned boundary words on the target side only.
+            jj1 = j1
+            while True:
+                jj2 = j2
+                while True:
+                    if jj2 - jj1 + 1 <= max_len:
+                        pairs.append((src_phrase, tuple(tgt_tokens[jj1 : jj2 + 1])))
+                    jj2 += 1
+                    if jj2 >= n or jj2 in aligned_tgt:
+                        break
+                jj1 -= 1
+                if jj1 < 0 or jj1 in aligned_tgt:
+                    break
     return pairs
-
-
-def _check_links(m: int, n: int, links: set[Link], max_len: int) -> None:
-    """Raise unless `max_len` is positive and every link lies inside an
-    m-by-n sentence pair."""
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
-    for s, t in links:
-        if not (0 <= s < m and 0 <= t < n):
-            raise ValueError(f"link {s}-{t} out of range for lengths {m},{n}")
-
-
-def _target_spans(j1: int, j2: int, n: int, aligned_tgt: set[int], max_len: int):
-    """The target spans [jj1, jj2] of at most `max_len` words that extend
-    [j1, j2] over adjacent unaligned target words (the target side only)."""
-    jj1 = j1
-    while True:
-        jj2 = j2
-        while True:
-            if jj2 - jj1 + 1 <= max_len:
-                yield jj1, jj2
-            jj2 += 1
-            if jj2 >= n or jj2 in aligned_tgt:
-                break
-        jj1 -= 1
-        if jj1 < 0 or jj1 in aligned_tgt:
-            break
 
 
 @dataclass
@@ -171,7 +148,7 @@ def count_extractions(
     n_pairs = 0
     for (src, tgt), links in zip(bitext, link_sets, strict=True):
         n_pairs += 1
-        for pair in _one_word_pairs(src, tgt, links, max_len):
+        for pair in _extract(src, tgt, links, max_len, 1):
             counts.pairs[pair] += 1
     if n_pairs == 0:
         raise ValueError("empty bitext")

@@ -15,7 +15,7 @@ from lexinduct import (
     read_extracted_counts,
     write_extracted_counts,
 )
-from lexinduct.lexicon import _one_word_pairs
+from lexinduct.lexicon import _extract
 
 
 class TestExtractPhrasesByHand:
@@ -77,6 +77,34 @@ def oracle_extractions(src, tgt, links, max_len):
     return out
 
 
+def scanned_extractions(src, tgt, links, max_len, max_src):
+    """The extractions in order, each source span's links found by scanning
+    every link and each target span checked against every link."""
+    aligned = {t for _, t in links}
+    out = []
+    for i1 in range(len(src)):
+        for i2 in range(i1, min(i1 + max_src, len(src))):
+            inside = [t for s, t in links if i1 <= s <= i2]
+            if not inside:
+                continue
+            j1, j2 = min(inside), max(inside)
+            if any(not (i1 <= s <= i2) for s, t in links if j1 <= t <= j2):
+                continue
+            lefts = [j1]
+            while lefts[-1] > 0 and lefts[-1] - 1 not in aligned:
+                lefts.append(lefts[-1] - 1)
+            rights = [j2]
+            while rights[-1] < len(tgt) - 1 and rights[-1] + 1 not in aligned:
+                rights.append(rights[-1] + 1)
+            out += [
+                (tuple(src[i1 : i2 + 1]), tuple(tgt[a : b + 1]))
+                for a in lefts
+                for b in rights
+                if b - a < max_len
+            ]
+    return out
+
+
 class TestExtractionOracle:
     @pytest.mark.parametrize("max_len", [1, 2, 3])
     def test_matches_consistency_definition(self, max_len):
@@ -91,6 +119,21 @@ class TestExtractionOracle:
             }
             got = Counter(extract_phrases(src, tgt, links, max_len))
             assert got == oracle_extractions(src, tgt, links, max_len)
+
+    @pytest.mark.parametrize("max_len", [1, 2, 3])
+    def test_order_of_the_link_scan(self, max_len):
+        rng = random.Random(95 + max_len)
+        for _ in range(300):
+            m, n = rng.randint(1, 10), rng.randint(1, 10)
+            src = [f"s{i}" for i in range(m)]
+            tgt = [f"t{j}" for j in range(n)]
+            links = {
+                (rng.randrange(m), rng.randrange(n)) for _ in range(rng.randint(0, 2 * (m + n)))
+            }
+            for max_src in (1, max_len):
+                want = scanned_extractions(src, tgt, links, max_len, max_src)
+                assert _extract(src, tgt, links, max_len, max_src) == want
+            assert extract_phrases(src, tgt, links, max_len) == want
 
 
 class TestCountExtractions:
@@ -117,19 +160,6 @@ class TestCountExtractions:
                 dictionary_from_counts(counts, denominator).entries
                 == dictionary_from_counts(ExtractedCounts(every), denominator).entries
             )
-
-    @pytest.mark.parametrize("max_len", [1, 2, 3])
-    def test_linear_extractor_lists_the_one_word_sources_of_extract_phrases(self, max_len):
-        rng = random.Random(95 + max_len)
-        for _ in range(300):
-            m, n = rng.randint(1, 10), rng.randint(1, 10)
-            src = [f"s{i}" for i in range(m)]
-            tgt = [f"t{j}" for j in range(n)]
-            links = {
-                (rng.randrange(m), rng.randrange(n)) for _ in range(rng.randint(0, 2 * (m + n)))
-            }
-            want = [(s, t) for s, t in extract_phrases(src, tgt, links, max_len) if len(s) == 1]
-            assert _one_word_pairs(src, tgt, links, max_len) == want
 
     def test_out_of_range_link_fatal(self):
         with pytest.raises(ValueError, match="out of range"):
