@@ -12,10 +12,23 @@ Source tokens without any single-word table entry translate as themselves
 (copy-through) with zero translation-model feature contributions. If the
 distortion guards prune every complete path, the sentence is deterministically
 re-decoded monotone, which always completes.
+
+Pruning is exact: a hypothesis is dropped at insertion only when it could
+never be expanded, so the search returns what keeping every hypothesis
+would, byte for byte. Each stack tracks the first scores of `beam` distinct
+keys (1 for the last stack, whose best hypothesis alone is used). Keys are
+never removed and recombination only raises a key's score, so the lowest
+tracked score never exceeds the beam-th best score the stack will hold, and
+a hypothesis strictly below it is never expanded nor the winner (Koehn
+2004, "Pharaoh"). When the LM weight is non-negative and no LM step scores
+above 0, an option whose score without the LM is already below that bar is
+skipped before the LM scores it.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 import multiprocessing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -213,7 +226,18 @@ def decode(
 
     Hypotheses recombine on the full (order - 1)-word LM context and carry
     the LM state next to it; LM scores come from `lm.step`'s memo.
-    `options_limit` keeps the best options of each span; 0 keeps them all."""
+    `options_limit` keeps the best options of each span; 0 keeps them all.
+
+    Each stack keeps a min-heap of the first-insertion scores of up to
+    `beam` distinct keys (1 for the full-coverage stack). Once it is full,
+    a new or recombining hypothesis scoring strictly below its root is
+    dropped: the root is at most the beam-th best score the stack will
+    hold, and equal scores are kept for `_sort_key`'s tie-break, so the
+    expanded parents and the winner are those of an unpruned search. With
+    `weights.lm >= 0` and `lm.step_bound <= 0`, the LM term of a score is
+    at most 0, and IEEE rounding is monotone, so the score is at most the
+    same sum without that term; an option whose sum without it is below the
+    root is skipped unscored."""
     if beam < 1:
         raise ValueError(f"beam must be >= 1, got {beam}")
     sentence = tuple(sentence)
@@ -240,15 +264,23 @@ def decode(
     ]
     transitions = lm.transitions
     lm_step = lm.step
+    # With w_lm >= 0 and no step scoring above 0, the LM can only lower a
+    # score, so an option whose score without it misses the bar is skipped
+    # unscored.
+    skip_unscored = w_lm >= 0 and lm.step_bound <= 0
 
     stacks: list[dict] = [dict() for _ in range(n + 1)]
     init = _Hyp(0.0, 0, lm.initial_context(), start_state, -1, None, None)
     stacks[0][(0, init.ctx, -1)] = init
+    # Per stack, a min-heap of the first-insertion scores of up to `cap`
+    # distinct keys; once full, its root is the stack's bar.
+    heaps: list[list[float]] = [[] for _ in range(n + 1)]
+    caps = [beam] * n + [1]
 
     for level in range(n):
         if not stacks[level]:
             continue
-        parents = sorted(stacks[level].values(), key=_sort_key)[:beam]
+        parents = heapq.nsmallest(beam, stacks[level].values(), key=_sort_key)
         for hyp in parents:
             cov, base, ctx0, state0, last_end = hyp.cov, hyp.score, hyp.ctx, hyp.state, hyp.last_end
             free = ~cov
@@ -263,10 +295,14 @@ def decode(
                     continue
                 new_cov = cov | mask
                 complete = new_cov == full
-                bucket = stacks[level + (j - i)]
+                target = level + (j - i)
+                bucket, heap, cap = stacks[target], heaps[target], caps[target]
+                bar = heap[0] if len(heap) == cap else -math.inf
                 distortion = w_dist * jump
                 for option in options:
                     tgt, norm, _, tm, word_pen = option
+                    if skip_unscored and base + tm - word_pen - w_phrase - distortion < bar:
+                        continue
                     state = state0
                     lm_total = 0.0
                     for word in tgt:
@@ -276,13 +312,23 @@ def decode(
                     if complete:
                         lm_total += (transitions[state].get(EOS) or lm_step(state, EOS))[0]
                     score = base + tm + w_lm * lm_total - word_pen - w_phrase - distortion
+                    if score < bar:
+                        continue
                     ctx = (ctx0 + norm)[len(norm) :]
                     key = (new_cov, ctx, j - 1)
                     old = bucket.get(key)
-                    if old is None or score > old.score:
-                        bucket[key] = _Hyp(
-                            score, new_cov, ctx, state, j - 1, hyp, (i, j, option, lm_total)
-                        )
+                    if old is None:
+                        if len(heap) < cap:
+                            heapq.heappush(heap, score)
+                        else:
+                            heapq.heappushpop(heap, score)
+                        if len(heap) == cap:
+                            bar = heap[0]
+                    elif score <= old.score:
+                        continue
+                    bucket[key] = _Hyp(
+                        score, new_cov, ctx, state, j - 1, hyp, (i, j, option, lm_total)
+                    )
     if not stacks[n]:
         if distortion_limit != 0:
             return decode(sentence, table, lm, weights, beam, 0, options_limit)
@@ -360,6 +406,10 @@ def translate_corpus(
         todo.append(tuple(sent))
     if workers <= 1 or len(todo) < 2:
         return [(s, system.output(s)) for s in todo]
+    # Build the LM's context set, initial state and step bound here, so the
+    # workers share them copy-on-write instead of each building its own.
+    system.lm.initial_state()
+    system.lm.step_bound
     ctx = multiprocessing.get_context("fork")
     chunk = max(1, len(todo) // (workers * 4))
     with ctx.Pool(workers, initializer=_pool_init, initargs=(system,)) as pool:

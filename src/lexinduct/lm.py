@@ -100,6 +100,20 @@ class NGramModel:
                 gram = gram[:-1]
         return frozenset(closed)
 
+    @cached_property
+    def step_bound(self) -> float:
+        """An upper bound on every `step` score. A score is a log
+        probability (or log_unseen) plus at most order - 1 backoff weights,
+        each the largest weight or 0 for an absent one, added in
+        `_transition`'s order, so rounding cannot take a score above it."""
+        bound = max(self.logprob.values(), default=self.log_unseen)
+        bound = max(bound, self.log_unseen)
+        weight = max(self.backoff.values(), default=0.0)
+        if weight > 0:
+            for _ in range(self.order - 1):
+                bound = weight + bound
+        return bound
+
     def _state(self, context: NGram) -> int:
         """The state of a context of at most order - 1 tokens."""
         contexts = self._contexts

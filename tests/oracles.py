@@ -7,7 +7,8 @@ phrase, one entry, one cell or one step at a time, from dicts, so that
 tests can compare the two exactly; `top_k_indices` selects top-k one score
 row at a time and `rank_candidates` ranks every target one query at a time.
 `train_lm` estimates the Kneser-Ney model from raw counts at every order,
-with the backoff recursion in its interpolation. `table_of` and
+with the backoff recursion in its interpolation. `reference_decode` is the decoder's
+search without pruning at insertion. `table_of` and
 `single_word_table` build `PhraseTable`s by hand; `model_of` builds an
 `AlignmentModel` and `translation_of` reads its t(f|e) back as a dict.
 """
@@ -47,6 +48,15 @@ from lexinduct.aligner import (
     _distance_matrix,
     _prior,
     _update_tension,
+)
+from lexinduct.decoder import (
+    DEFAULT_BEAM,
+    DEFAULT_DISTORTION_LIMIT,
+    DecodeResult,
+    _Hyp,
+    _replay,
+    _sort_key,
+    _span_options,
 )
 from lexinduct.phrases import (
     DEFAULT_CANDIDATES,
@@ -262,6 +272,89 @@ def feature_score(
     feats[5] = -float(len(output))
     feats[6] = -float(len(steps))
     return feats, float(feats @ weights.as_array())
+
+
+def reference_decode(
+    sentence: Sequence[str],
+    table: PhraseTable,
+    lm: NGramModel,
+    weights: FeatureWeights = FeatureWeights(),
+    beam: int = DEFAULT_BEAM,
+    distortion_limit: int = DEFAULT_DISTORTION_LIMIT,
+    options_limit: int = 0,
+) -> DecodeResult:
+    """`decode` without pruning at insertion: every recombined hypothesis
+    stays in its stack and is scored with the LM, and each stack is sorted
+    whole before its best `beam` are expanded. The library's decoder must
+    return exactly what this returns."""
+    if beam < 1:
+        raise ValueError(f"beam must be >= 1, got {beam}")
+    sentence = tuple(sentence)
+    n = len(sentence)
+    w = weights
+    w_lm, w_word, w_phrase, w_dist = w.lm, w.word_penalty, w.phrase_penalty, w.distortion
+    full = (1 << n) - 1
+    start_state = lm.initial_state()
+    if n == 0:
+        lg = lm.step(start_state, EOS)[0]
+        feats = np.zeros(8)
+        feats[4] = lg
+        return DecodeResult((), (), feats, lg * w_lm)
+
+    spans = [
+        (i, j, ((1 << (j - i)) - 1) << i, [
+            (tgt, tuple(map(lm.normalize_token, tgt)), lp, tm, w_word * len(tgt))
+            for tgt, lp, tm in options
+        ])
+        for (i, j), options in _span_options(sentence, table, weights, options_limit)
+    ]
+
+    stacks: list[dict] = [dict() for _ in range(n + 1)]
+    init = _Hyp(0.0, 0, lm.initial_context(), start_state, -1, None, None)
+    stacks[0][(0, init.ctx, -1)] = init
+
+    for level in range(n):
+        if not stacks[level]:
+            continue
+        parents = sorted(stacks[level].values(), key=_sort_key)[:beam]
+        for hyp in parents:
+            cov, base, ctx0, state0, last_end = hyp.cov, hyp.score, hyp.ctx, hyp.state, hyp.last_end
+            free = ~cov
+            leftmost = (free & -free).bit_length() - 1
+            for i, j, mask, options in spans:
+                if cov & mask:
+                    continue
+                jump = abs(i - last_end - 1)
+                if distortion_limit >= 0 and (
+                    jump > distortion_limit or i > leftmost + distortion_limit
+                ):
+                    continue
+                new_cov = cov | mask
+                complete = new_cov == full
+                bucket = stacks[level + (j - i)]
+                distortion = w_dist * jump
+                for option in options:
+                    tgt, norm, _, tm, word_pen = option
+                    state = state0
+                    lm_total = 0.0
+                    for word in tgt:
+                        lg, state = lm.step(state, word)
+                        lm_total += lg
+                    if complete:
+                        lm_total += lm.step(state, EOS)[0]
+                    score = base + tm + w_lm * lm_total - word_pen - w_phrase - distortion
+                    ctx = (ctx0 + norm)[len(norm) :]
+                    key = (new_cov, ctx, j - 1)
+                    old = bucket.get(key)
+                    if old is None or score > old.score:
+                        bucket[key] = _Hyp(
+                            score, new_cov, ctx, state, j - 1, hyp, (i, j, option, lm_total)
+                        )
+    if not stacks[n]:
+        if distortion_limit != 0:
+            return reference_decode(sentence, table, lm, weights, beam, 0, options_limit)
+        raise RuntimeError("monotone decoding failed to complete (unreachable)")
+    return _replay(sentence, min(stacks[n].values(), key=_sort_key))
 
 
 def model_of(

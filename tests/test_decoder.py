@@ -23,7 +23,7 @@ from lexinduct import (
     train_lm,
     translate_corpus,
 )
-from oracles import feature_score, single_word_table, table_of
+from oracles import feature_score, reference_decode, single_word_table, table_of
 
 
 def uniform_lm(v_size=16):
@@ -321,21 +321,142 @@ class TestTranslationSystem:
             translate_corpus([["a"]], system, cap=-1)
 
 
+def same_result(got, want):
+    """Exact equality of two DecodeResults, features and score to the bit."""
+    return (
+        got.output == want.output
+        and got.steps == want.steps
+        and got.features.tobytes() == want.features.tobytes()
+        and got.score.hex() == want.score.hex()
+    )
+
+
+def fresh_copy(lm):
+    """The same model with an empty memo."""
+    return NGramModel(lm.order, lm.discount, dict(lm.logprob), dict(lm.backoff), lm.log_unseen)
+
+
+def random_fixture(rng, coarse=False):
+    """An order-3 LM on random target text, and a table with 1 to 4 options
+    per source word plus two-word phrases of one or two target words. With
+    `coarse`, every probability is 1/4 or 1/2, so that scores tie."""
+    tgt_vocab = [f"t{i}" for i in range(9)]
+    lm = train_lm(
+        [[tgt_vocab[int(i)] for i in rng.integers(0, 9, size=int(rng.integers(2, 8)))]
+         for _ in range(30)],
+        order=3,
+    )
+
+    def probs():
+        return rng.choice([0.25, 0.5], size=4) if coarse else rng.uniform(0.05, 1.0, size=4)
+
+    src_vocab = [f"s{i}" for i in range(7)]
+    entries = {}
+    # The last source word has no entry, so it is copied through.
+    for s in src_vocab[:-1]:
+        picks = rng.choice(9, size=int(rng.integers(1, 5)), replace=False)
+        entries[s] = tuple(PhraseTableEntry(s, tgt_vocab[int(t)], *probs()) for t in picks)
+    for _ in range(4):
+        a, b = (src_vocab[int(i)] for i in rng.integers(0, 7, size=2))
+        words = [tgt_vocab[int(i)] for i in rng.integers(0, 9, size=int(rng.integers(1, 3)))]
+        entries[f"{a} {b}"] = (PhraseTableEntry(f"{a} {b}", " ".join(words), *probs()),)
+    return lm, table_of(entries), src_vocab
+
+
+def weight_draws(rng):
+    """Positive weights, then LM weight 0, a negative LM weight, a negative
+    word penalty, and unit TM weights with no LM or distortion (many ties)."""
+    draws = []
+    for lm_weight, word_penalty in ((None, None), (0.0, None), (-0.5, None), (None, -0.7)):
+        w = FeatureWeights(*rng.uniform(0.0, 2.0, size=8))
+        if lm_weight is not None:
+            w = w.replace("lm", lm_weight)
+        if word_penalty is not None:
+            w = w.replace("word_penalty", word_penalty)
+        draws.append(w)
+    draws.append(FeatureWeights(lm=0.0, distortion=0.0))
+    return draws
+
+
+class TestExactPruning:
+    @pytest.mark.parametrize("distortion_limit", [-1, 0, 2, 6])
+    @pytest.mark.parametrize("options_limit", [0, 1, 4])
+    @pytest.mark.parametrize("beam", [1, 2, 5])
+    def test_decode_equals_unpruned_reference(self, beam, options_limit, distortion_limit):
+        rng = np.random.default_rng([70, beam, options_limit, distortion_limit + 1])
+        for coarse in (False, False, True, True):
+            lm, table, src_vocab = random_fixture(rng, coarse)
+            for weights in weight_draws(rng):
+                sent = [src_vocab[int(i)] for i in rng.integers(0, 7, size=int(rng.integers(0, 8)))]
+                args = (sent, table, lm, weights, beam, distortion_limit, options_limit)
+                assert same_result(decode(*args), reference_decode(*args))
+
+    def test_positive_backoff_scores_every_option(self):
+        # From context "x", the unseen bigram "x x" scores 0.6 + -0.1 > 0.
+        lm = NGramModel(
+            order=2, discount=0.5,
+            logprob={("x",): -0.1, ("y",): -0.5, ("</s>",): -1.0,
+                     ("<s>", "x"): -0.7, ("x", "y"): -0.2},
+            backoff={("<s>",): -0.3, ("x",): 0.6},
+            log_unseen=-3.0,
+        )
+        assert lm.step_bound > 0
+        assert lm.step(lm.step(lm.initial_state(), "x")[1], "x")[0] > 0
+        rng = np.random.default_rng(71)
+        table = single_word_table(rng, ["a", "b", "c"], ["x", "y", "z"], max_options=3)
+        for weights in weight_draws(rng):
+            for _ in range(5):
+                sent = [["a", "b", "c"][int(i)] for i in rng.integers(0, 3, size=6)]
+                pruned, unpruned = fresh_copy(lm), fresh_copy(lm)
+                got = decode(sent, table, pruned, weights, beam=2)
+                assert same_result(got, reference_decode(sent, table, unpruned, weights, beam=2))
+                # Every option of every expanded parent was scored with the LM.
+                assert pruned.transitions == unpruned.transitions
+
+
+@pytest.fixture(scope="module")
+def micro_run(tmp_path_factory):
+    """The micro cipher, its config and the work dir of one pipeline run."""
+    root = tmp_path_factory.mktemp("micro")
+    fx = make_micro_cipher(root / "data")
+    config = micro_config(fx, root / "work")
+    run_pipeline(config)
+    return fx, config, root / "work"
+
+
 class TestLanguageModelMemo:
-    def test_second_pass_with_fresh_systems_adds_no_memo_entries(self, tmp_path):
-        fx = make_micro_cipher(tmp_path / "data")
-        config = micro_config(fx, tmp_path / "work")
-        run_pipeline(config)
-        work = tmp_path / "work"
-        lm = load_lm(work / "tgt" / "lm.txt")
+    def dev_and_system(self, micro_run, lm):
+        fx, config, work = micro_run
         dev = sample_sentences(load_corpus(fx.src_corpus), config.dev_size, config.dev_seed)
 
         def fresh_system():
             table = PhraseTable.read(work / "src2tgt" / "phrase_table.txt")
             return TranslationSystem(table, lm, beam=config.beam, options_limit=config.options_limit)
 
-        first = [fresh_system().translate(s) for s in dev.sentences]
+        return dev.sentences, fresh_system
+
+    def test_second_pass_with_fresh_systems_adds_no_memo_entries(self, micro_run):
+        lm = load_lm(micro_run[2] / "tgt" / "lm.txt")
+        sentences, fresh_system = self.dev_and_system(micro_run, lm)
+        first = [fresh_system().translate(s) for s in sentences]
         size = sum(len(row) for row in lm.transitions)
         assert size > 0
-        assert [fresh_system().translate(s) for s in dev.sentences] == first
+        assert [fresh_system().translate(s) for s in sentences] == first
         assert sum(len(row) for row in lm.transitions) == size
+
+    def test_memoised_steps_lie_under_the_bound(self, micro_run):
+        lm = load_lm(micro_run[2] / "tgt" / "lm.txt")
+        sentences, fresh_system = self.dev_and_system(micro_run, lm)
+        unpruned = fresh_copy(lm)
+        system = fresh_system()
+        for s in sentences:
+            got = decode(s, system.table, lm, system.weights, system.beam,
+                         system.distortion_limit, system.options_limit)
+            want = reference_decode(s, system.table, unpruned, system.weights, system.beam,
+                                    system.distortion_limit, system.options_limit)
+            assert same_result(got, want)
+        assert lm.step_bound <= 0
+        assert all(value <= lm.step_bound for row in lm.transitions for value, _ in row.values())
+        # The bound let the decoder leave options unscored.
+        memo = sum(map(len, lm.transitions))
+        assert 0 < memo < sum(map(len, unpruned.transitions))
