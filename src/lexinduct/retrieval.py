@@ -9,12 +9,18 @@ the ascending token.
 - nn: plain cosine nearest neighbor.
 - inv_nn: rank the query among all source words by cosine to each target,
   prefer the target giving the best (lowest) rank; the keys are minus the
-  rank, then the cosine. Counteracts hub targets. Each target column is
-  sorted once per call, and sources tying on a target share its best rank.
+  rank, then the cosine. Counteracts hub targets. Sources tying on a target
+  share its best rank. For `top` up to `_DEPTH`, ranks are computed only
+  within each target column's largest cosines; for larger `top`, each target
+  column is sorted once.
 - inv_softmax: softmax over the *source* vocabulary per target at a fixed
   temperature, so hub targets split their mass across many sources.
 - csls: 2*cos(x, y) - r_T(x) - r_S(y), each r the mean cosine to the k
   nearest neighbors on the other side.
+
+The cosine matrix is the only array of its size: the softmax normalisers
+and the CSLS means are reduced 64 columns (or rows) at a time, and the keys
+are built one block of queries at a time.
 
 Stores are unit-normalized on entry if needed. Queries missing from the
 source store are dropped with a warning; evaluation applies its copy
@@ -24,6 +30,7 @@ back-off to them downstream.
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,19 +58,45 @@ class RetrievalConfig:
             raise ValueError("csls_k must be >= 1")
 
 
+# Lines (target columns, or rows) reduced, partitioned or sorted per step:
+# their copies and sort buffers stay a small fraction of the cosine matrix.
+_COLUMN_BLOCK = 64
+
+
+def _blocks(n: int) -> Iterator[slice]:
+    """Slices of at most `_COLUMN_BLOCK` lines that cover range(n).
+
+    None is one line wide unless n is 1, because numpy sums a lone column
+    pairwise but several columns row by row, as over the whole matrix; so
+    the last slice may overlap the one before it.
+    """
+    for start in range(0, n, _COLUMN_BLOCK):
+        yield slice(max(0, min(start, n - 2)), start + _COLUMN_BLOCK)
+
+
 def _mean_topk(matrix: np.ndarray, k: int, axis: int) -> np.ndarray:
-    """Mean of the k largest entries along `axis` (k capped at the size)."""
+    """Mean of the k largest entries along `axis` (k capped at the size),
+    a block of lines across the other axis at a time."""
     size = matrix.shape[axis]
     k = min(k, size)
-    part = np.partition(matrix, size - k, axis=axis)
-    if axis == 1:
-        return part[:, size - k :].mean(axis=1)
-    return part[size - k :, :].mean(axis=0)
+    means = np.empty(matrix.shape[1 - axis])
+    for lines in _blocks(len(means)):
+        if axis == 1:
+            means[lines] = np.partition(matrix[lines], size - k, axis=1)[:, size - k :].mean(axis=1)
+        else:
+            means[lines] = np.partition(matrix[:, lines], size - k, axis=0)[size - k :].mean(axis=0)
+    return means
 
 
-# Target columns sorted per step: their transposed copy and sort buffers stay
-# a small fraction of the cosine matrix.
-_COLUMN_BLOCK = 64
+def _log_normalizer(cos: np.ndarray, t: float) -> np.ndarray:
+    """log sum_x exp(t * cos[x, y]) per target column y, shifted by the
+    column's largest term, a block of columns at a time."""
+    log_z = np.empty(cos.shape[1])
+    for cols in _blocks(len(log_z)):
+        scaled = t * cos[:, cols]
+        col_max = scaled.max(axis=0)
+        log_z[cols] = col_max + np.log(np.exp(scaled - col_max).sum(axis=0))
+    return log_z
 
 
 def _neg_column_ranks(cos: np.ndarray) -> np.ndarray:
@@ -91,6 +124,87 @@ def _neg_column_ranks(cos: np.ndarray) -> np.ndarray:
     return neg_rank
 
 
+# inv_nn computes ranks within each target column's _DEPTH largest cosines
+# first; a query with fewer than `top` of them looks 4 times deeper.
+_DEPTH = 32
+
+
+def _column_tops(cos: np.ndarray, depth: int) -> np.ndarray:
+    """Each target column's `depth` largest cosines, ascending, flattened
+    column after column as complex keys column + 1j * cosine.
+
+    numpy orders complex numbers by real part, then imaginary part, so the
+    keys are sorted, and one `searchsorted` places any (column, cosine) pair
+    among its column's largest cosines.
+    """
+    n_src, n_tgt = cos.shape
+    keys = np.empty((n_tgt, depth), dtype=np.complex128)
+    keys.real = np.arange(n_tgt)[:, None]
+    for cols in _blocks(n_tgt):
+        # Copying the columns first and transposing the copy is faster than
+        # one transposing copy out of the whole matrix.
+        block = np.ascontiguousarray(cos[:, cols]).T.copy()
+        block.partition(n_src - depth, axis=1)
+        keys.imag[cols] = np.sort(block[:, n_src - depth :], axis=1)
+    return keys.ravel()
+
+
+def _inv_nn_rows(cos: np.ndarray, k: int):
+    """inv_nn's `score_rows`: minus the rank, then the cosine.
+
+    A cosine below its column's d-th largest has rank > d. For k <= _DEPTH,
+    each query gets exact ranks only for its cosines at or above their
+    column's d-th largest, as 1 + the column's d largest above it, starting
+    at d = _DEPTH; a query with fewer than k of them takes d four times
+    deeper, and one whose d reaches the column length counts the cosines
+    above its own in every column, with one boolean array of the matrix's
+    shape. Every other cosine gets a key below all ranks, so each query's
+    top k is exact; equal ranks go to the higher cosine. For k > _DEPTH
+    most queries would deepen, and deeper searches cost more as k grows, so
+    each column is sorted once for a rank table of the matrix's size.
+    """
+    if k > _DEPTH:
+        neg_rank = _neg_column_ranks(cos)
+        return lambda rows: (neg_rank[rows], cos[rows])
+
+    n_src, n_tgt = cos.shape
+    tops: dict[int, np.ndarray] = {}
+    # A cosine without a computed rank gets the key -(n_src + 1 + its
+    # column), below every rank and distinct within a row: numpy's partition
+    # slows down on long runs of equal values. The smallest integer type
+    # that holds the keys keeps their block a fraction of the cosine block.
+    uncomputed = (-1 - n_src - np.arange(n_tgt)).astype(np.min_scalar_type(-2 - n_src - n_tgt))
+
+    def score_rows(rows):
+        block = cos[rows]
+        neg_rank = np.empty(block.shape, dtype=uncomputed.dtype)
+        neg_rank[:] = uncomputed
+        # The cosines and block rows of the queries still short of k ranks.
+        sub, pending = block, np.arange(len(rows))
+        depth = _DEPTH
+        while pending.size and depth < n_src:
+            if depth not in tops:
+                tops[depth] = _column_tops(cos, depth)
+            keys = tops[depth]
+            flat = np.flatnonzero(sub >= np.ascontiguousarray(keys.imag[::depth]))
+            r, c = np.divmod(flat, n_tgt)
+            at = np.empty(len(flat), dtype=np.complex128)
+            at.real = c
+            at.imag = sub.ravel()[flat]
+            # Keys up to (c, cosine) are every earlier column's and those of
+            # column c at most the cosine; the rest of column c's are above.
+            above = (c + 1) * depth - np.searchsorted(keys, at, side="right")
+            neg_rank[pending[r], c] = -1 - above
+            short = np.bincount(r, minlength=len(pending)) < k
+            sub, pending = sub[short], pending[short]
+            depth *= 4
+        for i in pending:
+            neg_rank[i] = -1 - np.count_nonzero(cos > block[i], axis=0)
+        return neg_rank, block
+
+    return score_rows
+
+
 def rank_candidates(
     src: EmbeddingStore,
     tgt: EmbeddingStore,
@@ -102,9 +216,10 @@ def rank_candidates(
     the configured method, as `Neighbors`, the type `k_nearest` returns.
 
     Builds the complete source x target cosine matrix, so memory grows with
-    both vocabularies; meant for evaluation-sized stores. inv_nn sorts each
-    target column once and holds a float64 rank table of the same size on
-    top of the matrix.
+    both vocabularies; meant for evaluation-sized stores. Besides it, every
+    method holds only per-target vectors and arrays of one block of queries
+    (or of target columns), except inv_nn with `top` above `_DEPTH` or None,
+    which holds a float64 rank table of the matrix's size.
     """
     if top is not None and top < 1:
         raise ValueError("top must be >= 1 when given")
@@ -128,27 +243,29 @@ def rank_candidates(
             return (cos[rows],)
 
     elif config.method == "inv_nn":
-        neg_rank = _neg_column_ranks(cos)
-
-        def score_rows(rows):
-            # Equal ranks go to the higher cosine.
-            return neg_rank[rows], cos[rows]
+        score_rows = _inv_nn_rows(cos, k)
 
     elif config.method == "inv_softmax":
         t = config.softmax_temperature
-        scaled = t * cos
-        col_max = scaled.max(axis=0)
-        log_z = col_max + np.log(np.exp(scaled - col_max).sum(axis=0))
+        log_z = _log_normalizer(cos, t)
 
         def score_rows(rows):
-            return (scaled[rows] - log_z,)
+            # In place, so that a block holds one array of its size.
+            scores = cos[rows]
+            scores *= t
+            scores -= log_z
+            return (scores,)
 
     else:  # csls
         r_tgt = _mean_topk(cos, config.csls_k, axis=1)
         r_src = _mean_topk(cos, config.csls_k, axis=0)
 
         def score_rows(rows):
-            return (2.0 * cos[rows] - r_tgt[rows, None] - r_src,)
+            scores = cos[rows]
+            scores *= 2.0
+            scores -= r_tgt[rows, None]
+            scores -= r_src
+            return (scores,)
 
     return top_k(present, src.indices(present), tgt, k, score_rows)
 

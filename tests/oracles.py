@@ -5,7 +5,9 @@ phrase tables and IBM-2 alignments on whole arrays, and the decoder scores
 derivations incrementally. The functions here compute the same things one
 phrase, one entry, one cell or one step at a time, from dicts, so that
 tests can compare the two exactly; `top_k_indices` selects top-k one score
-row at a time and `rank_candidates` ranks every target one query at a time.
+row at a time and `rank_candidates` ranks every target one query at a time,
+with the softmax normaliser (`log_normalizer`) and the CSLS means
+(`mean_topk`) reduced over the whole cosine matrix at once.
 `train_lm` estimates the Kneser-Ney model from raw counts at every order,
 with the backoff recursion in its interpolation. `reference_decode` is the decoder's
 search without pruning at insertion. `table_of` and
@@ -68,7 +70,6 @@ from lexinduct.phrases import (
     phrase_key,
 )
 from lexinduct.lm import BOS, EOS, RESERVED, UNK
-from lexinduct.retrieval import _mean_topk
 
 
 def table_of(entries: Mapping[str, Sequence[PhraseTableEntry]]) -> PhraseTable:
@@ -520,6 +521,25 @@ def top_k_indices(scores: np.ndarray, lexrank: np.ndarray, k: int) -> np.ndarray
     return chosen[np.lexsort((lexrank[chosen], -scores[chosen]))]
 
 
+def mean_topk(matrix: np.ndarray, k: int, axis: int) -> np.ndarray:
+    """Mean of the k largest entries along `axis` (k capped at the size),
+    over the whole matrix at once."""
+    size = matrix.shape[axis]
+    k = min(k, size)
+    part = np.partition(matrix, size - k, axis=axis)
+    if axis == 1:
+        return part[:, size - k :].mean(axis=1)
+    return part[size - k :, :].mean(axis=0)
+
+
+def log_normalizer(cos: np.ndarray, t: float) -> np.ndarray:
+    """log sum_x exp(t * cos[x, y]) per target column y, shifted by the
+    column's largest term, over the whole matrix at once."""
+    scaled = t * cos
+    col_max = scaled.max(axis=0)
+    return col_max + np.log(np.exp(scaled - col_max).sum(axis=0))
+
+
 def rank_candidates(
     src: EmbeddingStore,
     tgt: EmbeddingStore,
@@ -560,17 +580,15 @@ def rank_candidates(
 
     elif config.method == "inv_softmax":
         t = config.softmax_temperature
-        scaled = t * cos
-        col_max = scaled.max(axis=0)
-        log_z = col_max + np.log(np.exp(scaled - col_max).sum(axis=0))
+        log_z = log_normalizer(cos, t)
         for q, row in zip(present, q_rows):
-            scores = scaled[row] - log_z
+            scores = t * cos[row] - log_z
             order = np.lexsort((lexrank, -scores))
             results.append(_scored(q, tgt, scores, order, top))
 
     else:  # csls
-        r_tgt = _mean_topk(cos, config.csls_k, axis=1)
-        r_src = _mean_topk(cos, config.csls_k, axis=0)
+        r_tgt = mean_topk(cos, config.csls_k, axis=1)
+        r_src = mean_topk(cos, config.csls_k, axis=0)
         for q, row in zip(present, q_rows):
             scores = 2.0 * cos[row] - r_tgt[row] - r_src
             order = np.lexsort((lexrank, -scores))

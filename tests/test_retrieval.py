@@ -1,6 +1,7 @@
 """Retrieval methods against slow reference rankings and a hub fixture."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from lexinduct import (
     rank_candidates,
     unit_normalize,
 )
-from lexinduct.retrieval import METHODS
+from lexinduct.retrieval import _DEPTH, METHODS, _inv_nn_rows, _log_normalizer, _mean_topk
+from oracles import log_normalizer, mean_topk
 from oracles import rank_candidates as rank_per_query
 
 
@@ -178,6 +180,127 @@ class TestTiesWithinColumns:
                 if method == "inv_nn":
                     for y, (_, score) in zip(want, res.candidates):
                         assert score == -1.0 - np.count_nonzero(cos[:, y] > cos[row, y])
+
+
+def graded_sources(rng, n_src, n_tgt, dim):
+    """Targets around one axis, and sources whose angle to it runs from 0
+    to pi: the far sources rank low in every target column (anti-hubs)."""
+    theta = np.linspace(0.0, np.pi, n_src)
+    src = 0.2 * rng.normal(size=(n_src, dim))
+    src[:, 0] += np.cos(theta)
+    src[:, 1] += np.sin(theta)
+    tgt = 0.5 * rng.normal(size=(n_tgt, dim))
+    tgt[:, 0] += 1.0
+    return normalized_store(src, "s"), normalized_store(tgt, "t")
+
+
+def assert_matches_oracle(src, tgt, queries, config, tops):
+    for top in tops:
+        got = rank_candidates(src, tgt, queries, config, top=top)
+        want = rank_per_query(src, tgt, queries, config, top=top)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.query == w.query
+            assert g.candidates == w.candidates
+
+
+def ranks_within(ranking, depth):
+    """Per query, how many targets give it a rank of at most `depth`."""
+    return np.array([sum(score >= -depth for _, score in r.candidates) for r in ranking])
+
+
+class TestInvNnDepth:
+    """For top up to _DEPTH, inv_nn computes ranks only within each target
+    column's largest cosines and deepens for the queries short of top."""
+
+    config = RetrievalConfig(method="inv_nn")
+
+    def test_anti_hubs_deepen_until_they_have_top_ranks(self):
+        rng = np.random.default_rng(31)
+        src, tgt = graded_sources(rng, 300, 200, 6)
+        queries = list(src.vocab)
+        full = rank_per_query(src, tgt, queries, self.config)
+        best = -np.array([r.candidates[0][1] for r in full])
+        # Some best ranks lie past the first depth, and some queries have
+        # fewer than 10 ranks within four times it, so with top 10 they
+        # count every column's cosines.
+        assert (best > _DEPTH).any()
+        assert (ranks_within(full, _DEPTH) < 10).any()
+        assert (ranks_within(full, 4 * _DEPTH) < 10).any()
+        assert_matches_oracle(src, tgt, queries, self.config, (1, 10, _DEPTH - 1, _DEPTH, _DEPTH + 1, None))
+
+    def test_source_store_shorter_than_the_depth(self):
+        rng = np.random.default_rng(32)
+        src = normalized_store(rng.normal(size=(_DEPTH - 12, 5)), "s")
+        tgt = normalized_store(rng.normal(size=(70, 5)), "t")
+        assert_matches_oracle(src, tgt, list(src.vocab), self.config, (1, 10, _DEPTH, None))
+
+    def test_ties_at_a_columns_depth_th_cosine(self):
+        rng = np.random.default_rng(33)
+        src = repeated_sources(rng, 60, 5)
+        tgt = normalized_store(rng.normal(size=(300, 5)), "t")
+        cos = cosine_matrix(src, tgt)
+        ordered = -np.sort(-cos, axis=0)
+        tied = ordered[_DEPTH - 1] == ordered[_DEPTH]
+        assert tied.sum() >= 10
+        # Every cosine at or above its column's _DEPTH-th largest, ties
+        # included, gets its exact rank key; the others are either exact or
+        # below every rank.
+        ranks = 1 + (cos[None, :, :] > cos[:, None, :]).sum(axis=1)
+        neg_rank, block = _inv_nn_rows(cos, 10)(np.arange(len(src)))
+        assert np.array_equal(block, cos)
+        computed = neg_rank >= -len(src)
+        assert computed[cos >= ordered[_DEPTH - 1]].all()
+        assert np.array_equal(neg_rank[computed], -ranks[computed])
+        queries = list(src.vocab)
+        assert_matches_oracle(src, tgt, queries, self.config, (1, 10, _DEPTH - 1, _DEPTH, _DEPTH + 1, None))
+
+
+class TestBlockedReductions:
+    """The softmax normaliser and the CSLS means, reduced a block of lines at
+    a time, equal the whole-matrix reductions bit for bit."""
+
+    @staticmethod
+    def matrices():
+        rng = np.random.default_rng(34)
+        # Widths of one, one past a block and one past two blocks leave a
+        # last block one column wide; the repeated rows and columns tie.
+        for n_src, n_tgt in ((1, 1), (7, 1), (1, 9), (40, 65), (130, 129), (300, 200)):
+            yield rng.uniform(-1.0, 1.0, size=(n_src, n_tgt))
+        base = rng.uniform(-1.0, 1.0, size=(50, 70))
+        yield np.vstack([base, base[:20]])[:, list(range(70)) + list(range(0, 70, 3))]
+        yield np.round(rng.uniform(-1.0, 1.0, size=(90, 97)), 1)
+
+    @staticmethod
+    def same_bits(got, want):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("k", [1, 3, 10, 400])
+    def test_csls_means(self, k):
+        for cos in self.matrices():
+            for axis in (0, 1):
+                self.same_bits(_mean_topk(cos, k, axis), mean_topk(cos, k, axis))
+
+    @pytest.mark.parametrize("t", [1.0, 30.0])
+    def test_softmax_normaliser(self, t):
+        for cos in self.matrices():
+            self.same_bits(_log_normalizer(cos, t), log_normalizer(cos, t))
+
+
+class TestMemory:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_peak_below_one_and_three_quarter_cosine_matrices(self, method):
+        rng = np.random.default_rng(35)
+        src = normalized_store(rng.normal(size=(2000, 48)), "s")
+        tgt = normalized_store(rng.normal(size=(2000, 48)), "t")
+        tracemalloc.start()
+        try:
+            rank_candidates(src, tgt, list(src.vocab), RetrievalConfig(method=method), top=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * len(src) * len(tgt) * 8
 
 
 class TestHubFixture:
