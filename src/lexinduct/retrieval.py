@@ -11,16 +11,17 @@ the ascending token.
   prefer the target giving the best (lowest) rank; the keys are minus the
   rank, then the cosine. Counteracts hub targets. Sources tying on a target
   share its best rank. For `top` up to `_DEPTH`, ranks are computed only
-  within each target column's largest cosines; for larger `top`, each target
-  column is sorted once.
+  within each target column's largest cosines, and the rare query short of
+  `top` ranks there takes its row of a rank table that sorts each target
+  column once; for larger `top`, that table is built up front.
 - inv_softmax: softmax over the *source* vocabulary per target at a fixed
   temperature, so hub targets split their mass across many sources.
 - csls: 2*cos(x, y) - r_T(x) - r_S(y), each r the mean cosine to the k
   nearest neighbors on the other side.
 
-The cosine matrix is the only array of its size: the softmax normalisers
-and the CSLS means are reduced 64 columns (or rows) at a time, and the keys
-are built one block of queries at a time.
+Apart from inv_nn's rank table, the cosine matrix is the only array of its
+size: the softmax normalisers and the CSLS means are reduced 64 columns (or
+rows) at a time, and the keys are built one block of queries at a time.
 
 Stores are unit-normalized on entry if needed. Queries missing from the
 source store are dropped with a warning; evaluation applies its copy
@@ -114,18 +115,19 @@ def _neg_column_ranks(cos: np.ndarray) -> np.ndarray:
         order = np.argsort(cols, axis=1)
         ordered = np.take_along_axis(cols, order, axis=1)
         # A run ends where the next value differs or the column does; every
-        # position takes the nearest run end at or after it.
+        # position takes the nearest run end at or after it. Both are done
+        # in place and the ranks go back into `cols`, so that a step holds
+        # few arrays of the block's size.
         ends = np.full(ordered.shape, n_src - 1)
-        ends[:, :-1] = np.where(ordered[:, :-1] != ordered[:, 1:], positions, n_src - 1)
-        last = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1]
-        block = np.empty(cols.shape)
-        np.put_along_axis(block, order, last - float(n_src), axis=1)
-        neg_rank[:, start : start + _COLUMN_BLOCK] = block.T
+        np.copyto(ends[:, :-1], positions, where=ordered[:, :-1] != ordered[:, 1:])
+        np.minimum.accumulate(ends[:, ::-1], axis=1, out=ends[:, ::-1])
+        ends -= n_src
+        np.put_along_axis(cols, order, ends, axis=1)
+        neg_rank[:, start : start + _COLUMN_BLOCK] = cols.T
     return neg_rank
 
 
-# inv_nn computes ranks within each target column's _DEPTH largest cosines
-# first; a query with fewer than `top` of them looks 4 times deeper.
+# inv_nn computes ranks within each target column's _DEPTH largest cosines.
 _DEPTH = 32
 
 
@@ -152,54 +154,51 @@ def _column_tops(cos: np.ndarray, depth: int) -> np.ndarray:
 def _inv_nn_rows(cos: np.ndarray, k: int):
     """inv_nn's `score_rows`: minus the rank, then the cosine.
 
-    A cosine below its column's d-th largest has rank > d. For k <= _DEPTH,
-    each query gets exact ranks only for its cosines at or above their
-    column's d-th largest, as 1 + the column's d largest above it, starting
-    at d = _DEPTH; a query with fewer than k of them takes d four times
-    deeper, and one whose d reaches the column length counts the cosines
-    above its own in every column, with one boolean array of the matrix's
-    shape. Every other cosine gets a key below all ranks, so each query's
-    top k is exact; equal ranks go to the higher cosine. For k > _DEPTH
-    most queries would deepen, and deeper searches cost more as k grows, so
-    each column is sorted once for a rank table of the matrix's size.
+    Two regimes. For k <= _DEPTH, a cosine below its column's d-th largest
+    (d = _DEPTH, or the column length if shorter) has rank > d, so each
+    query gets exact ranks only for its cosines at or above that threshold,
+    as 1 + the column's d largest above it; every other cosine gets a key
+    below all ranks, and the query's top k is exact once it has k ranks.
+    A query with fewer (an anti-hub: it lies low in almost every column)
+    takes its row of the rank table, which the first such query builds by
+    sorting each column once. For k > _DEPTH most queries would need it,
+    so the table is built up front. Equal ranks go to the higher cosine.
     """
     if k > _DEPTH:
-        neg_rank = _neg_column_ranks(cos)
-        return lambda rows: (neg_rank[rows], cos[rows])
+        table = _neg_column_ranks(cos)
+        return lambda rows: (table[rows], cos[rows])
 
     n_src, n_tgt = cos.shape
-    tops: dict[int, np.ndarray] = {}
+    depth = min(_DEPTH, n_src)
+    keys = _column_tops(cos, depth)
+    thresholds = np.ascontiguousarray(keys.imag[::depth])
     # A cosine without a computed rank gets the key -(n_src + 1 + its
     # column), below every rank and distinct within a row: numpy's partition
     # slows down on long runs of equal values. The smallest integer type
     # that holds the keys keeps their block a fraction of the cosine block.
     uncomputed = (-1 - n_src - np.arange(n_tgt)).astype(np.min_scalar_type(-2 - n_src - n_tgt))
+    table = None
 
     def score_rows(rows):
+        nonlocal table
         block = cos[rows]
+        flat = np.flatnonzero(block >= thresholds)
+        r, c = np.divmod(flat, n_tgt)
+        short = np.bincount(r, minlength=len(rows)) < k
+        # Built before this block's other arrays, so that its sort buffers
+        # come on top of little more than the matrix.
+        if short.any() and table is None:
+            table = _neg_column_ranks(cos)
         neg_rank = np.empty(block.shape, dtype=uncomputed.dtype)
         neg_rank[:] = uncomputed
-        # The cosines and block rows of the queries still short of k ranks.
-        sub, pending = block, np.arange(len(rows))
-        depth = _DEPTH
-        while pending.size and depth < n_src:
-            if depth not in tops:
-                tops[depth] = _column_tops(cos, depth)
-            keys = tops[depth]
-            flat = np.flatnonzero(sub >= np.ascontiguousarray(keys.imag[::depth]))
-            r, c = np.divmod(flat, n_tgt)
-            at = np.empty(len(flat), dtype=np.complex128)
-            at.real = c
-            at.imag = sub.ravel()[flat]
-            # Keys up to (c, cosine) are every earlier column's and those of
-            # column c at most the cosine; the rest of column c's are above.
-            above = (c + 1) * depth - np.searchsorted(keys, at, side="right")
-            neg_rank[pending[r], c] = -1 - above
-            short = np.bincount(r, minlength=len(pending)) < k
-            sub, pending = sub[short], pending[short]
-            depth *= 4
-        for i in pending:
-            neg_rank[i] = -1 - np.count_nonzero(cos > block[i], axis=0)
+        at = np.empty(len(flat), dtype=np.complex128)
+        at.real = c
+        at.imag = block.ravel()[flat]
+        # Keys up to (c, cosine) are every earlier column's and those of
+        # column c at most the cosine; the rest of column c's are above.
+        neg_rank[r, c] = np.searchsorted(keys, at, side="right") - (c + 1) * depth - 1
+        if short.any():
+            neg_rank[short] = table[rows[short]]
         return neg_rank, block
 
     return score_rows
@@ -219,7 +218,8 @@ def rank_candidates(
     both vocabularies; meant for evaluation-sized stores. Besides it, every
     method holds only per-target vectors and arrays of one block of queries
     (or of target columns), except inv_nn with `top` above `_DEPTH` or None,
-    which holds a float64 rank table of the matrix's size.
+    or with a query short of `top` ranks within the depth, which holds a
+    float64 rank table of the matrix's size.
     """
     if top is not None and top < 1:
         raise ValueError("top must be >= 1 when given")

@@ -14,7 +14,9 @@ from lexinduct import (
     rank_candidates,
     unit_normalize,
 )
+from lexinduct import retrieval
 from lexinduct.retrieval import _DEPTH, METHODS, _inv_nn_rows, _log_normalizer, _mean_topk
+from lexinduct.retrieval import _neg_column_ranks as neg_column_ranks
 from oracles import log_normalizer, mean_topk
 from oracles import rank_candidates as rank_per_query
 
@@ -209,25 +211,58 @@ def ranks_within(ranking, depth):
     return np.array([sum(score >= -depth for _, score in r.candidates) for r in ranking])
 
 
+def counting_rank_tables(monkeypatch):
+    """Record the shape of every rank table `rank_candidates` builds."""
+    built = []
+
+    def counted(cos):
+        built.append(cos.shape)
+        return neg_column_ranks(cos)
+
+    monkeypatch.setattr(retrieval, "_neg_column_ranks", counted)
+    return built
+
+
 class TestInvNnDepth:
     """For top up to _DEPTH, inv_nn computes ranks only within each target
-    column's largest cosines and deepens for the queries short of top."""
+    column's largest cosines; queries short of top take their rows of a
+    rank table built once per call."""
 
     config = RetrievalConfig(method="inv_nn")
 
-    def test_anti_hubs_deepen_until_they_have_top_ranks(self):
+    def test_anti_hubs_short_of_top_ranks_take_the_rank_table(self, monkeypatch):
         rng = np.random.default_rng(31)
         src, tgt = graded_sources(rng, 300, 200, 6)
         queries = list(src.vocab)
         full = rank_per_query(src, tgt, queries, self.config)
         best = -np.array([r.candidates[0][1] for r in full])
-        # Some best ranks lie past the first depth, and some queries have
-        # fewer than 10 ranks within four times it, so with top 10 they
-        # count every column's cosines.
+        # Some best ranks lie past the depth, so with top 10 some queries
+        # have fewer than 10 ranks within it.
         assert (best > _DEPTH).any()
         assert (ranks_within(full, _DEPTH) < 10).any()
-        assert (ranks_within(full, 4 * _DEPTH) < 10).any()
-        assert_matches_oracle(src, tgt, queries, self.config, (1, 10, _DEPTH - 1, _DEPTH, _DEPTH + 1, None))
+        built = counting_rank_tables(monkeypatch)
+        tops = (1, 10, _DEPTH - 1, _DEPTH, _DEPTH + 1, None)
+        assert_matches_oracle(src, tgt, queries, self.config, tops)
+        assert built == [(300, 200)] * len(tops)
+
+    def test_no_rank_table_when_every_query_has_top_ranks(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        src = normalized_store(rng.normal(size=(200, 6)), "s")
+        tgt = normalized_store(rng.normal(size=(400, 6)), "t")
+        built = counting_rank_tables(monkeypatch)
+        assert_matches_oracle(src, tgt, list(src.vocab), self.config, (1, 10, _DEPTH))
+        assert built == []
+
+    @pytest.mark.parametrize("n_tgt, top", [(20, None), (12, 10), (_DEPTH, _DEPTH)])
+    def test_small_target_store_builds_one_rank_table(self, monkeypatch, n_tgt, top):
+        # Almost every query wants nearly every target, so almost every
+        # query is short of top ranks within the depth.
+        rng = np.random.default_rng(29)
+        src = normalized_store(rng.normal(size=(3000, 6)), "s")
+        tgt = normalized_store(rng.normal(size=(n_tgt, 6)), "t")
+        built = counting_rank_tables(monkeypatch)
+        assert_matches_oracle(src, tgt, list(src.vocab), self.config, (top,))
+        assert built == [(3000, n_tgt)]
 
     def test_source_store_shorter_than_the_depth(self):
         rng = np.random.default_rng(32)
@@ -301,6 +336,19 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 1.75 * len(src) * len(tgt) * 8
+
+    def test_anti_hub_store_peak_below_three_cosine_matrices(self):
+        # Anti-hubs make inv_nn build the rank table: the matrix, the table,
+        # one column block's sort buffers and one query block's keys.
+        rng = np.random.default_rng(36)
+        src, tgt = graded_sources(rng, 2100, 2000, 6)
+        tracemalloc.start()
+        try:
+            rank_candidates(src, tgt, list(src.vocab), RetrievalConfig(method="inv_nn"), top=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * len(src) * len(tgt) * 8
 
 
 class TestHubFixture:
