@@ -2,12 +2,13 @@
 
 One subcommand per pipeline stage plus the end-to-end `pipeline` driver.
 A stage subcommand calls the `*_stage` functions of `pipeline` that the
-pipeline runs; it only parses flags and picks the optional outputs. Every
-subcommand accepts --config; explicit flags override config values, which
-override the built-in defaults. A config flag's `dest` is the
-PipelineConfig field it sets, so flags pass the config's range checks.
-Exit code 0 on success, 1 on failure (pipeline failures name the failing
-stage).
+pipeline runs; it only parses flags and picks the optional outputs.
+`extract` gives a link file made elsewhere the counting that `align` does
+in memory. Every subcommand accepts --config; explicit flags override
+config values, which override the built-in defaults. A config flag's
+`dest` is the PipelineConfig field it sets, so flags pass the config's
+range checks. Exit code 0 on success, 1 on failure (pipeline failures name
+the failing stage).
 """
 
 from __future__ import annotations
@@ -114,13 +115,8 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 
 
 def _cmd_align(args: argparse.Namespace) -> int:
-    if not (args.out_fwd or args.out_rev or args.out_sym):
-        raise ValueError("align: give at least one of --out-fwd, --out-rev, --out-sym")
     config = _config(args)
-    align_stage(
-        config, tokenized(config, args.src), tokenized(config, args.tgt),
-        args.out_fwd, args.out_rev, args.out_sym,
-    )
+    align_stage(config, tokenized(config, args.src), tokenized(config, args.tgt), args.out, args.counts)
     return 0
 
 
@@ -222,12 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--options-limit", type=int)
     p.add_argument("--workers", type=int)
 
-    p = add("align", _cmd_align, "IBM-2 word alignment and symmetrization")
+    p = add("align", _cmd_align, "IBM-2 word alignment, symmetrization and phrase-pair counts")
     p.add_argument("--src", required=True, help="source side of the parallel corpus")
     p.add_argument("--tgt", required=True, help="target side of the parallel corpus")
-    p.add_argument("--out-fwd", help="forward links output")
-    p.add_argument("--out-rev", help="reverse links output (source-target orientation)")
-    p.add_argument("--out-sym", help="symmetrized links output")
+    p.add_argument("--out", required=True, help="symmetrized links output")
+    p.add_argument("--counts", help="optional dump of the one-word-source phrase-pair counts")
+    p.add_argument("--max-phrase-len", type=int)
     p.add_argument("--iterations", dest="align_iterations", type=int)
     p.add_argument("--tension", dest="align_tension", type=float)
     p.add_argument("--null-prob", dest="align_null_prob", type=float)

@@ -284,6 +284,8 @@ def top_k(
             top = _top_k_rows(part, lexrank, k)
             idx[at : at + len(top)] = top
             scores[at : at + len(top)] = np.take_along_axis(part[0], top, axis=1)
+        # Free this block's keys before `score_rows` builds the next block.
+        del block_keys, part
     return Neighbors(tuple(queries), tgt.vocab, idx, scores)
 
 

@@ -5,8 +5,8 @@ requested direction):
 
     corpus -> inventory -> phrase embeddings -\\
     corpus -> language model                   > tables -> tune -> translate
-                                                     -> align, with symmetrization
-                                                     -> extract, one-word sources only
+                                                     -> align, with symmetrization and
+                                                        extraction of one-word sources
                                                      -> dictionary -> evaluate
 
 Every stage's inputs are content-addressed: the stage digest is a sha256
@@ -84,8 +84,7 @@ STAGE_VERSIONS = {
     "tables": 1,
     "tune": 1,
     "translate": 1,
-    "align": 2,
-    "extract": 2,
+    "align": 3,
     "dictionary": 1,
     "evaluate": 1,
 }
@@ -103,8 +102,7 @@ STAGE_PARAMS: dict[str, tuple[str, ...]] = {
         "lm_weight", "length_weight", "weight_lo", "weight_hi",
     ),
     "translate": _DECODER_PARAMS + ("corpus_cap",),
-    "align": ("align_iterations", "align_tension", "align_null_prob", "align_grad_steps"),
-    "extract": ("max_phrase_len",),
+    "align": ("align_iterations", "align_tension", "align_null_prob", "align_grad_steps", "max_phrase_len"),
     "dictionary": ("denominator",),
     "evaluate": (),
 }
@@ -621,30 +619,35 @@ def translate_stage(
     return len(pairs)
 
 
+def _extracted(config: PipelineConfig, pairs, link_sets, out: str | Path | None) -> ExtractedCounts:
+    """Count the one-word-source phrase pairs that `link_sets` license in
+    the sentence `pairs`; with `out`, write the counts."""
+    counts = count_extractions(pairs, link_sets, config.max_phrase_len)
+    if out:
+        write_extracted_counts(counts, out)
+    return counts
+
+
 def align_stage(
     config: PipelineConfig,
     src: Corpus,
     tgt: Corpus,
-    out_fwd: str | Path | None = None,
-    out_rev: str | Path | None = None,
-    out_sym: str | Path | None = None,
+    out: str | Path,
+    out_counts: str | Path | None = None,
 ) -> None:
-    """Align a parallel corpus with IBM-2 in each direction that an output
-    needs and write the links, all in source-target orientation: forward,
-    reverse, and their grow-diag-final-and symmetrization."""
+    """Align a parallel corpus with IBM-2 in both directions and write the
+    grow-diag-final-and symmetrization of the links in source-target
+    orientation; with `out_counts`, also write the one-word-source phrase
+    pairs those links license."""
     _check_lines("align", (src.source_path, len(src)), (tgt.source_path, len(tgt)))
     pairs = list(zip(src.sentences, tgt.sentences))
     forward = align_corpus(_train_aligner(config, pairs), pairs)
-    if out_fwd:
-        write_links(forward, out_fwd)
-    if out_rev or out_sym:
-        flipped = [(t, s) for s, t in pairs]
-        raw = align_corpus(_train_aligner(config, flipped), flipped)
-        reverse = [{(j, i) for i, j in links} for links in raw]
-        if out_rev:
-            write_links(reverse, out_rev)
-        if out_sym:
-            write_links([grow_diag_final_and(a, b) for a, b in zip(forward, reverse)], out_sym)
+    flipped = [(t, s) for s, t in pairs]
+    reverse = align_corpus(_train_aligner(config, flipped), flipped)
+    link_sets = [grow_diag_final_and(a, {(j, i) for i, j in b}) for a, b in zip(forward, reverse)]
+    write_links(link_sets, out)
+    if out_counts:
+        _extracted(config, pairs, link_sets, out_counts)
 
 
 def extract_stage(
@@ -657,10 +660,7 @@ def extract_stage(
     _check_lines(
         "extract", (src.source_path, len(src)), (tgt.source_path, len(tgt)), (links, len(link_sets))
     )
-    counts = count_extractions(zip(src.sentences, tgt.sentences), link_sets, config.max_phrase_len)
-    if out:
-        write_extracted_counts(counts, out)
-    return counts
+    return _extracted(config, zip(src.sentences, tgt.sentences), link_sets, out)
 
 
 def dictionary_stage(
@@ -733,9 +733,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 ddir / "weights.txt", ddir / "extract_counts.txt", ddir / "dictionary.tsv"
             )
             syn_src, syn_tgt = ddir / "synthetic.source.txt", ddir / "synthetic.target.txt"
-            links_fwd, links_rev, links_sym = (
-                ddir / "links.forward.txt", ddir / "links.reverse.txt", ddir / "links.txt"
-            )
 
             run(f"tune:{direction}",
                 [tables[direction], tables[opposite], target / "lm.txt", source / "lm.txt",
@@ -747,12 +744,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 [syn_src, syn_tgt],
                 lambda table, lm, weights, corpus, out_src, out_tgt: translate_stage(
                     config, table, lm, weights, _read_tokenized(corpus), out_tgt, out_src))
-            run(f"align:{direction}", [syn_src, syn_tgt], [links_fwd, links_rev, links_sym],
+            run(f"align:{direction}", [syn_src, syn_tgt], [ddir / "links.txt", counts_path],
                 lambda src, tgt, *outs: align_stage(
                     config, _read_tokenized(src), _read_tokenized(tgt), *outs))
-            run(f"extract:{direction}", [syn_src, syn_tgt, links_sym], [counts_path],
-                lambda src, tgt, links, out: extract_stage(
-                    config, _read_tokenized(src), _read_tokenized(tgt), links, out))
             run(f"dictionary:{direction}", [counts_path], [dict_path],
                 lambda counts, out: dictionary_stage(config, read_extracted_counts(counts), out))
 

@@ -2,12 +2,15 @@
 
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from conftest import make_micro_cipher, micro_config
-from lexinduct import InducedDictionary, load_lm, read_links, run_pipeline, write_config
+from lexinduct import (
+    InducedDictionary, load_lm, read_extracted_counts, read_links, run_pipeline, write_config,
+)
 from lexinduct.cli import main
 
 
@@ -182,28 +185,31 @@ class TestAlign:
         tgt.write_text(text, encoding="utf-8")
         return src, tgt
 
-    def test_all_three_outputs(self, tmp_path):
+    def test_links_and_counts(self, tmp_path):
         src, tgt = self.copy_corpus(tmp_path)
-        fwd, rev, sym = (tmp_path / n for n in ("f.txt", "r.txt", "s.txt"))
+        sym, counts = tmp_path / "s.txt", tmp_path / "c.txt"
         assert run_cli(["align", "--src", str(src), "--tgt", str(tgt),
-                        "--out-fwd", str(fwd), "--out-rev", str(rev),
-                        "--out-sym", str(sym)]) == 0
+                        "--out", str(sym), "--counts", str(counts)]) == 0
         links = read_links(sym)
         assert len(links) == 30
-        # Copying a corpus onto itself aligns on the diagonal.
+        # Copying a corpus onto itself aligns on the diagonal, which licenses
+        # each word with itself once per occurrence and nothing else.
         assert links[0] == {(0, 0), (1, 1), (2, 2)}
+        words = Counter(src.read_text(encoding="utf-8").split())
+        assert read_extracted_counts(counts).pairs == {((w,), (w,)): c for w, c in words.items()}
 
-    def test_no_output_flags_exits_1(self, tmp_path, capsys):
+    def test_missing_out_exits_2(self, tmp_path):
         src, tgt = self.copy_corpus(tmp_path)
-        assert run_cli(["align", "--src", str(src), "--tgt", str(tgt)]) == 1
-        assert "at least one" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            run_cli(["align", "--src", str(src), "--tgt", str(tgt)])
+        assert info.value.code == 2
 
     def test_length_mismatch_exits_1(self, tmp_path, capsys):
         src, tgt = self.copy_corpus(tmp_path)
         with open(tgt, "a", encoding="utf-8") as fh:
             fh.write("w0 w1\n")
         code = run_cli(["align", "--src", str(src), "--tgt", str(tgt),
-                        "--out-fwd", str(tmp_path / "f.txt")])
+                        "--out", str(tmp_path / "s.txt")])
         assert code == 1
         assert "lines" in capsys.readouterr().err
 
@@ -275,7 +281,7 @@ class TestStageChain:
 
         links = tmp_path / "links.txt"
         assert run_cli(["align", "--src", str(fx.src_corpus), "--tgt", str(synthetic),
-                        "--out-sym", str(links)]) == 0
+                        "--out", str(links)]) == 0
 
         dictionary = tmp_path / "dict.tsv"
         counts = tmp_path / "counts.txt"
@@ -329,7 +335,7 @@ class TestStageChain:
         assert out_src.read_text(encoding="utf-8").splitlines() == first
         links = tmp_path / "links.txt"
         assert run_cli(["align", "--src", str(out_src), "--tgt", str(out),
-                        "--out-sym", str(links)]) == 0
+                        "--out", str(links)]) == 0
         assert len(read_links(links)) == 3
 
 
@@ -414,11 +420,10 @@ class TestPipelineParity:
             "--weights", str(out / "weights.txt"), "--input", str(fx.src_corpus),
             "--out", str(out / "synthetic.txt"))
         cli("align", "--src", str(fx.src_corpus), "--tgt", str(out / "synthetic.txt"),
-            "--out-fwd", str(out / "links_fwd.txt"), "--out-rev", str(out / "links_rev.txt"),
-            "--out-sym", str(out / "links.txt"))
+            "--out", str(out / "links.txt"), "--counts", str(out / "counts.txt"))
         cli("extract", "--src", str(fx.src_corpus), "--tgt", str(out / "synthetic.txt"),
             "--links", str(out / "links.txt"), "--out", str(out / "dict.tsv"),
-            "--counts", str(out / "counts.txt"))
+            "--counts", str(out / "extract_counts.txt"))
 
         work = tmp_path / "work"
         pairs = {
@@ -429,10 +434,9 @@ class TestPipelineParity:
             "lm_tgt.txt": "tgt/lm.txt",
             "weights.txt": "src2tgt/weights.txt",
             "synthetic.txt": "src2tgt/synthetic.target.txt",
-            "links_fwd.txt": "src2tgt/links.forward.txt",
-            "links_rev.txt": "src2tgt/links.reverse.txt",
             "links.txt": "src2tgt/links.txt",
             "counts.txt": "src2tgt/extract_counts.txt",
+            "extract_counts.txt": "src2tgt/extract_counts.txt",
             "dict.tsv": "src2tgt/dictionary.tsv",
         }
         for mine, theirs in pairs.items():

@@ -335,7 +335,7 @@ class TestMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.75 * len(src) * len(tgt) * 8
+        assert peak <= 1.45 * len(src) * len(tgt) * 8
 
     def test_anti_hub_store_peak_below_three_cosine_matrices(self):
         # Anti-hubs make inv_nn build the rank table: the matrix, the table,
