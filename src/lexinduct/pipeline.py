@@ -39,13 +39,30 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .aligner import align_corpus, grow_diag_final_and, read_links, train_ibm2, write_links
+from .aligner import (
+    DEFAULT_GRAD_STEPS,
+    DEFAULT_ITERATIONS,
+    DEFAULT_NULL_PROB,
+    DEFAULT_TENSION,
+    align_corpus,
+    grow_diag_final_and,
+    read_links,
+    train_ibm2,
+    write_links,
+)
 from .corpus import Corpus, count_ngrams, load_corpus, sample_sentences, write_corpus
-from .decoder import FeatureWeights, TranslationSystem, translate_corpus
+from .decoder import (
+    DEFAULT_BEAM,
+    DEFAULT_CORPUS_CAP,
+    DEFAULT_DISTORTION_LIMIT,
+    FeatureWeights,
+    TranslationSystem,
+    translate_corpus,
+)
 from .embeddings import EmbeddingStore, load_cache, load_embeddings, save_cache, unit_normalize
 from .evaluation import read_gold, precision_at_1
 from .fileio import atomic_write, parse_number, remove_stale_temps
@@ -59,6 +76,10 @@ from .lexicon import (
 )
 from .lm import load_lm, save_lm, train_lm
 from .phrases import (
+    DEFAULT_CANDIDATES,
+    DEFAULT_NGRAM_CAP,
+    DEFAULT_REVERSE_SAMPLE,
+    DEFAULT_VOCAB_SIZE,
     PhraseInventory,
     PhraseTable,
     TableInduction,
@@ -112,48 +133,59 @@ LOCK_NAME = ".lock"
 DIRECTIONS = ("src2tgt", "tgt2src")
 
 
+def _setting(section: str, default, key: str | None = None):
+    """A config field stored in the config file as option `key` (the field
+    name unless given) of `[section]`; the type of `default` is its kind."""
+    return field(default=default, metadata={"section": section, "key": key})
+
+
+_TUNER = TunerConfig()
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything a pipeline run needs, round-trippable through a flat
-    "key = value" config file with one section per module."""
+    "key = value" config file with one section per module. Each field
+    declares its section and option, and the file lists them in field
+    order."""
 
-    src_corpus: str = ""
-    tgt_corpus: str = ""
-    src_embeddings: str = ""
-    tgt_embeddings: str = ""
-    work_dir: str = ""
-    gold_src2tgt: str = ""
-    gold_tgt2src: str = ""
-    direction: str = "src2tgt"
-    workers: int = 1
-    lowercase: bool = True
-    aggressive_hyphens: bool = True
-    vocab_size: int = 200_000
-    ngram_cap: int = 400_000
-    candidates: int = 100
-    reverse_sample: int = 10_000
-    phrase_seed: int = 13
-    lm_order: int = 5
-    lm_discount: float = 0.75
-    beam: int = 50
-    distortion_limit: int = 6
-    options_limit: int = 0
-    corpus_cap: int = 10_000_000
-    dev_size: int = 2000
-    dev_seed: int = 42
-    sweeps: int = 3
-    golden_iterations: int = 6
-    cyclic_weight: float = 1.0
-    lm_weight: float = 0.1
-    length_weight: float = 0.5
-    weight_lo: float = 0.0
-    weight_hi: float = 2.0
-    align_iterations: int = 5
-    align_tension: float = 4.0
-    align_null_prob: float = 0.08
-    align_grad_steps: int = 8
-    max_phrase_len: int = 3
-    denominator: str = "filtered"
+    src_corpus: str = _setting("paths", "")
+    tgt_corpus: str = _setting("paths", "")
+    src_embeddings: str = _setting("paths", "")
+    tgt_embeddings: str = _setting("paths", "")
+    work_dir: str = _setting("paths", "")
+    gold_src2tgt: str = _setting("paths", "")
+    gold_tgt2src: str = _setting("paths", "")
+    direction: str = _setting("pipeline", "src2tgt")
+    workers: int = _setting("pipeline", 1)
+    lowercase: bool = _setting("corpus", True)
+    aggressive_hyphens: bool = _setting("corpus", True)
+    vocab_size: int = _setting("corpus", DEFAULT_VOCAB_SIZE)
+    ngram_cap: int = _setting("phrases", DEFAULT_NGRAM_CAP)
+    candidates: int = _setting("phrases", DEFAULT_CANDIDATES)
+    reverse_sample: int = _setting("phrases", DEFAULT_REVERSE_SAMPLE)
+    phrase_seed: int = _setting("phrases", 13, key="seed")
+    lm_order: int = _setting("lm", 5, key="order")
+    lm_discount: float = _setting("lm", 0.75, key="discount")
+    beam: int = _setting("decoder", DEFAULT_BEAM)
+    distortion_limit: int = _setting("decoder", DEFAULT_DISTORTION_LIMIT)
+    options_limit: int = _setting("decoder", 0)
+    corpus_cap: int = _setting("decoder", DEFAULT_CORPUS_CAP)
+    dev_size: int = _setting("tuner", 2000)
+    dev_seed: int = _setting("tuner", 42)
+    sweeps: int = _setting("tuner", _TUNER.sweeps)
+    golden_iterations: int = _setting("tuner", _TUNER.golden_iterations)
+    cyclic_weight: float = _setting("tuner", _TUNER.cyclic_weight)
+    lm_weight: float = _setting("tuner", _TUNER.lm_weight)
+    length_weight: float = _setting("tuner", _TUNER.length_weight)
+    weight_lo: float = _setting("tuner", _TUNER.weight_lo)
+    weight_hi: float = _setting("tuner", _TUNER.weight_hi)
+    align_iterations: int = _setting("aligner", DEFAULT_ITERATIONS, key="iterations")
+    align_tension: float = _setting("aligner", DEFAULT_TENSION, key="tension")
+    align_null_prob: float = _setting("aligner", DEFAULT_NULL_PROB, key="null_prob")
+    align_grad_steps: int = _setting("aligner", DEFAULT_GRAD_STEPS, key="grad_steps")
+    max_phrase_len: int = _setting("lexicon", 3)
+    denominator: str = _setting("lexicon", "filtered")
 
     def __post_init__(self) -> None:
         if self.direction not in DIRECTIONS + ("both",):
@@ -184,87 +216,31 @@ class PipelineConfig:
         return DIRECTIONS if self.direction == "both" else (self.direction,)
 
 
-# (section, option, dataclass field, value kind): the single source of
-# truth for the config file layout.
-_CONFIG_LAYOUT: tuple[tuple[str, str, str, str], ...] = (
-    ("paths", "src_corpus", "src_corpus", "str"),
-    ("paths", "tgt_corpus", "tgt_corpus", "str"),
-    ("paths", "src_embeddings", "src_embeddings", "str"),
-    ("paths", "tgt_embeddings", "tgt_embeddings", "str"),
-    ("paths", "work_dir", "work_dir", "str"),
-    ("paths", "gold_src2tgt", "gold_src2tgt", "str"),
-    ("paths", "gold_tgt2src", "gold_tgt2src", "str"),
-    ("pipeline", "direction", "direction", "str"),
-    ("pipeline", "workers", "workers", "int"),
-    ("corpus", "lowercase", "lowercase", "bool"),
-    ("corpus", "aggressive_hyphens", "aggressive_hyphens", "bool"),
-    ("corpus", "vocab_size", "vocab_size", "int"),
-    ("phrases", "ngram_cap", "ngram_cap", "int"),
-    ("phrases", "candidates", "candidates", "int"),
-    ("phrases", "reverse_sample", "reverse_sample", "int"),
-    ("phrases", "seed", "phrase_seed", "int"),
-    ("lm", "order", "lm_order", "int"),
-    ("lm", "discount", "lm_discount", "float"),
-    ("decoder", "beam", "beam", "int"),
-    ("decoder", "distortion_limit", "distortion_limit", "int"),
-    ("decoder", "options_limit", "options_limit", "int"),
-    ("decoder", "corpus_cap", "corpus_cap", "int"),
-    ("tuner", "dev_size", "dev_size", "int"),
-    ("tuner", "dev_seed", "dev_seed", "int"),
-    ("tuner", "sweeps", "sweeps", "int"),
-    ("tuner", "golden_iterations", "golden_iterations", "int"),
-    ("tuner", "cyclic_weight", "cyclic_weight", "float"),
-    ("tuner", "lm_weight", "lm_weight", "float"),
-    ("tuner", "length_weight", "length_weight", "float"),
-    ("tuner", "weight_lo", "weight_lo", "float"),
-    ("tuner", "weight_hi", "weight_hi", "float"),
-    ("aligner", "iterations", "align_iterations", "int"),
-    ("aligner", "tension", "align_tension", "float"),
-    ("aligner", "null_prob", "align_null_prob", "float"),
-    ("aligner", "grad_steps", "align_grad_steps", "int"),
-    ("lexicon", "max_phrase_len", "max_phrase_len", "int"),
-    ("lexicon", "denominator", "denominator", "str"),
-)
-
-_SECTION_ORDER = ("paths", "pipeline", "corpus", "phrases", "lm", "decoder", "tuner", "aligner", "lexicon")
+# (section, option) -> field, in field order: the config file layout.
+_OPTIONS = {(f.metadata["section"], f.metadata["key"] or f.name): f for f in fields(PipelineConfig)}
 
 
-def _format_value(value, kind: str) -> str:
-    if kind == "bool":
-        return "true" if value else "false"
-    if kind == "float":
-        return repr(value)
-    return str(value)
-
-
-def _parse_value(text: str, kind: str, where: str):
-    if kind == "str":
-        return text
-    if kind == "int":
-        try:
-            return int(text)
-        except ValueError:
-            raise ValueError(f"{where}: expected an integer, got {text!r}") from None
-    if kind == "float":
-        try:
-            return float(text)
-        except ValueError:
-            raise ValueError(f"{where}: expected a number, got {text!r}") from None
-    if text not in ("true", "false"):
-        raise ValueError(f"{where}: expected true or false, got {text!r}")
-    return text == "true"
+def _parse_value(text: str, kind: type, where: str):
+    if kind is bool:
+        if text not in ("true", "false"):
+            raise ValueError(f"{where}: expected true or false, got {text!r}")
+        return text == "true"
+    try:
+        return kind(text)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ValueError(f"{where}: expected {expected}, got {text!r}") from None
 
 
 def write_config(config: PipelineConfig, path: str | Path) -> None:
-    """Canonical config file: every key explicit, floats printed via repr so
-    read_config(write_config(c)) == c exactly."""
-    lines: list[str] = []
-    for section in _SECTION_ORDER:
-        lines.append(f"[{section}]")
-        for sec, opt, field, kind in _CONFIG_LAYOUT:
-            if sec == section:
-                lines.append(f"{opt} = {_format_value(getattr(config, field), kind)}")
-        lines.append("")
+    """Canonical config file: every key explicit, floats in their shortest
+    round-trip form, so read_config(write_config(c)) == c exactly."""
+    sections: dict[str, list[str]] = {}
+    for (section, option), f in _OPTIONS.items():
+        value = getattr(config, f.name)
+        text = ("true" if value else "false") if type(f.default) is bool else str(value)
+        sections.setdefault(section, []).append(f"{option} = {text}")
+    lines = [line for section, options in sections.items() for line in (f"[{section}]", *options, "")]
     with atomic_write(path) as fh:
         fh.write("\n".join(lines))
 
@@ -280,16 +256,16 @@ def read_config(path: str | Path) -> PipelineConfig:
         except configparser.Error as exc:
             # configparser names the file; its messages may span lines.
             raise ValueError(" ".join(str(exc).split())) from None
-    known = {(sec, opt): (field, kind) for sec, opt, field, kind in _CONFIG_LAYOUT}
+    known_sections = {section for section, _ in _OPTIONS}
     kwargs = {}
     for section in parser.sections():
-        if section not in _SECTION_ORDER:
+        if section not in known_sections:
             raise ValueError(f"{path}: unknown section [{section}]")
         for opt, text in parser.items(section):
-            if (section, opt) not in known:
+            f = _OPTIONS.get((section, opt))
+            if f is None:
                 raise ValueError(f"{path}: unknown key {opt!r} in section [{section}]")
-            field, kind = known[(section, opt)]
-            kwargs[field] = _parse_value(text, kind, f"{path}: [{section}] {opt}")
+            kwargs[f.name] = _parse_value(text, type(f.default), f"{path}: [{section}] {opt}")
     return PipelineConfig(**kwargs)
 
 
@@ -389,18 +365,22 @@ class _Runner:
         manifest = {
             "stage": name,
             "digest": digest,
-            "outputs": {str(o): _sha256_file(o) for o in outputs},
+            "outputs": {self._key(o): _sha256_file(o) for o in outputs},
         }
         with atomic_write(manifest_path) as fh:
             fh.write(json.dumps(manifest, sort_keys=True, indent=1))
         self.records.append(StageRecord(name, digest, cached=False))
         return True
 
-    @staticmethod
-    def _outputs_intact(manifest: dict, outputs: Sequence[Path]) -> bool:
+    def _key(self, out: Path) -> str:
+        """An output's manifest key: its path within the work dir, so that a
+        moved or copied work dir keeps its cache."""
+        return out.relative_to(self.work_dir).as_posix()
+
+    def _outputs_intact(self, manifest: dict, outputs: Sequence[Path]) -> bool:
         recorded = manifest.get("outputs", {})
         for out in outputs:
-            want = recorded.get(str(out))
+            want = recorded.get(self._key(out))
             if want is None or not out.exists() or _sha256_file(out) != want:
                 return False
         return True
@@ -691,9 +671,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     work_dir_text = os.environ.get(WORK_DIR_ENV) or config.work_dir
     if not work_dir_text:
         raise ValueError(f"config: work_dir is required (or set {WORK_DIR_ENV})")
-    for field in ("src_corpus", "tgt_corpus", "src_embeddings", "tgt_embeddings"):
-        if not getattr(config, field):
-            raise ValueError(f"config: {field} is required")
+    for name in ("src_corpus", "tgt_corpus", "src_embeddings", "tgt_embeddings"):
+        if not getattr(config, name):
+            raise ValueError(f"config: {name} is required")
     work_dir = Path(work_dir_text)
     work_dir.mkdir(parents=True, exist_ok=True)
 

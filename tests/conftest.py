@@ -4,136 +4,53 @@ The main one is the substitution-cipher benchmark: a bigram-grammar corpus
 whose target side is a deterministic word substitution of the source, with
 per-concept Gaussian embeddings shared across languages up to small noise.
 An unsupervised system that works must recover the substitution table, and
-the known table doubles as the gold dictionary.
+the known table doubles as the gold dictionary. The files come from the
+benchmark's generator, `perfbench/workloads.py::make_cipher`, and the
+pipeline settings start from its `CIPHER_CONFIG`, so the tests and the
+benchmark run one cipher.
 """
 
 from __future__ import annotations
 
-import random
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from lexinduct import PipelineConfig
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
+
 
 @dataclass(frozen=True)
-class CipherFixture:
-    root: Path
-    src_corpus: Path
-    tgt_corpus: Path
-    src_embeddings: Path
-    tgt_embeddings: Path
-    gold: Path
+class CipherFixture(workloads.Cipher):
     mapping: dict[str, str]
-    sentences: int
-    vocab: int
 
 
-def make_cipher(
-    root: Path,
-    vocab: int = 300,
-    sentences: int = 5000,
-    dim: int = 24,
-    noise: float = 0.01,
-    successors: int = 8,
-    min_len: int = 6,
-    max_len: int = 12,
-    seed: int = 7,
-) -> CipherFixture:
-    """Generate the cipher benchmark files under `root`.
-
-    Source sentences are random walks over a seeded bigram grammar with
-    `successors` allowed followers per word; the target corpus applies a
-    seeded word substitution to the same sentences. Both languages embed
-    concept c as a shared Gaussian vector plus independent noise of scale
-    `noise`, so cosine retrieval is informative but not trivially exact.
-    """
-    rng = random.Random(seed)
-    nrng = np.random.default_rng(seed)
-    root.mkdir(parents=True, exist_ok=True)
-
-    perm = list(range(vocab))
-    rng.shuffle(perm)
-    src_words = [f"s{c:03d}" for c in range(vocab)]
-    tgt_words = [f"t{perm[c]:03d}" for c in range(vocab)]
-    mapping = dict(zip(src_words, tgt_words))
-
-    followers = [rng.sample(range(vocab), successors) for _ in range(vocab)]
-    walks: list[list[int]] = []
-    for _ in range(sentences):
-        length = rng.randint(min_len, max_len)
-        word = rng.randrange(vocab)
-        walk = [word]
-        for _ in range(length - 1):
-            word = rng.choice(followers[word])
-            walk.append(word)
-        walks.append(walk)
-
-    src_corpus = root / "cipher.src.txt"
-    tgt_corpus = root / "cipher.tgt.txt"
-    with open(src_corpus, "w", encoding="utf-8") as fs, open(tgt_corpus, "w", encoding="utf-8") as ft:
-        for walk in walks:
-            fs.write(" ".join(src_words[c] for c in walk) + "\n")
-            ft.write(" ".join(tgt_words[c] for c in walk) + "\n")
-
-    concepts = nrng.standard_normal((vocab, dim))
-    src_vecs = concepts + noise * nrng.standard_normal((vocab, dim))
-    tgt_vecs = concepts + noise * nrng.standard_normal((vocab, dim))
-    src_embeddings = root / "cipher.src.vec"
-    tgt_embeddings = root / "cipher.tgt.vec"
-    for path, words, vecs in (
-        (src_embeddings, src_words, src_vecs),
-        (tgt_embeddings, tgt_words, tgt_vecs),
-    ):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{vocab} {dim}\n")
-            for word, row in zip(words, vecs):
-                fh.write(word + " " + " ".join(repr(float(v)) for v in row) + "\n")
-
-    gold = root / "cipher.gold.txt"
-    with open(gold, "w", encoding="utf-8") as fh:
-        for s, t in sorted(mapping.items()):
-            fh.write(f"{s} {t}\n")
-
-    return CipherFixture(
-        root=root,
-        src_corpus=src_corpus,
-        tgt_corpus=tgt_corpus,
-        src_embeddings=src_embeddings,
-        tgt_embeddings=tgt_embeddings,
-        gold=gold,
-        mapping=mapping,
-        sentences=sentences,
-        vocab=vocab,
-    )
+def make_cipher(root: Path, **knobs) -> CipherFixture:
+    """Generate the cipher benchmark files under `root` with
+    `workloads.make_cipher` and its knobs; `mapping` is the substitution
+    table, read back from the gold file."""
+    cipher = workloads.make_cipher(root, **knobs)
+    with open(cipher.gold, encoding="utf-8") as fh:
+        mapping = dict(line.split() for line in fh)
+    return CipherFixture(**vars(cipher), mapping=mapping)
 
 
 def cipher_config(fixture: CipherFixture, work_dir: Path, **overrides) -> PipelineConfig:
     """A pipeline config scaled to the cipher benchmark (fast knobs; the
     library defaults target full-size corpora)."""
     settings = dict(
+        workloads.CIPHER_CONFIG,
         src_corpus=str(fixture.src_corpus),
         tgt_corpus=str(fixture.tgt_corpus),
         src_embeddings=str(fixture.src_embeddings),
         tgt_embeddings=str(fixture.tgt_embeddings),
         work_dir=str(work_dir),
         gold_src2tgt=str(fixture.gold),
-        direction="src2tgt",
-        workers=2,
         vocab_size=fixture.vocab,
-        ngram_cap=1500,
-        candidates=20,
-        reverse_sample=10_000,
-        lm_order=5,
-        beam=5,
-        options_limit=4,
-        corpus_cap=2000,
-        dev_size=40,
-        sweeps=3,
-        golden_iterations=5,
     )
     settings.update(overrides)
     return PipelineConfig(**settings)

@@ -6,6 +6,7 @@ import fcntl
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +38,27 @@ class TestConfigFile:
             sweeps=1, cyclic_weight=1.25, weight_hi=1.75, align_tension=3.5,
             max_phrase_len=2, denominator="full",
         )
+
+    # write_config(PipelineConfig()), written out: a key that moves to
+    # another section or changes its name fails here, not in the round trip.
+    DEFAULT_FILE = (
+        "[paths]\nsrc_corpus = \ntgt_corpus = \nsrc_embeddings = \ntgt_embeddings = \n"
+        "work_dir = \ngold_src2tgt = \ngold_tgt2src = \n\n"
+        "[pipeline]\ndirection = src2tgt\nworkers = 1\n\n"
+        "[corpus]\nlowercase = true\naggressive_hyphens = true\nvocab_size = 200000\n\n"
+        "[phrases]\nngram_cap = 400000\ncandidates = 100\nreverse_sample = 10000\nseed = 13\n\n"
+        "[lm]\norder = 5\ndiscount = 0.75\n\n"
+        "[decoder]\nbeam = 50\ndistortion_limit = 6\noptions_limit = 0\ncorpus_cap = 10000000\n\n"
+        "[tuner]\ndev_size = 2000\ndev_seed = 42\nsweeps = 3\ngolden_iterations = 6\n"
+        "cyclic_weight = 1.0\nlm_weight = 0.1\nlength_weight = 0.5\nweight_lo = 0.0\nweight_hi = 2.0\n\n"
+        "[aligner]\niterations = 5\ntension = 4.0\nnull_prob = 0.08\ngrad_steps = 8\n\n"
+        "[lexicon]\nmax_phrase_len = 3\ndenominator = filtered\n"
+    )
+
+    def test_default_file_layout(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        write_config(PipelineConfig(), path)
+        assert path.read_text(encoding="utf-8") == self.DEFAULT_FILE
 
     def test_round_trip_is_exact(self, tmp_path):
         config = self.sample()
@@ -150,6 +172,14 @@ class TestRunAndCache:
         assert again.ran() == []
         assert len(again.cached()) == 14
         assert again.directions["src2tgt"].p_at_1 is not None
+
+    def test_copied_work_dir_stays_cached(self, tmp_path):
+        fx = micro(tmp_path / "data")
+        run_pipeline(micro_config(fx, tmp_path / "work"))
+        shutil.copytree(tmp_path / "work", tmp_path / "copy")
+        again = run_pipeline(micro_config(fx, tmp_path / "copy"))
+        assert again.ran() == []
+        assert len(again.cached()) == 14
 
     def test_mtime_change_alone_stays_cached(self, tmp_path):
         fx = micro(tmp_path / "data")
