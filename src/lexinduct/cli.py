@@ -1,14 +1,14 @@
 """Command-line interface.
 
-One subcommand per pipeline stage plus the end-to-end `pipeline` driver.
-A stage subcommand calls the `*_stage` functions of `pipeline` that the
-pipeline runs; it only parses flags and picks the optional outputs.
-`extract` gives a link file made elsewhere the counting that `align` does
-in memory. Every subcommand accepts --config; explicit flags override
-config values, which override the built-in defaults. A config flag's
-`dest` is the PipelineConfig field it sets, so flags pass the config's
-range checks. Exit code 0 on success, 1 on failure (pipeline failures name
-the failing stage).
+The `induce` retrieval route, one subcommand per pipeline stage, and the
+end-to-end `pipeline` driver. A stage subcommand calls the `*_stage`
+function that the pipeline runs, and nothing else; it only parses flags and
+picks the optional outputs. Every subcommand accepts --config; explicit
+flags override config values, which override the built-in defaults. A
+subcommand names the PipelineConfig fields it exposes, and `_add_settings`
+builds their flags from the fields, so flags pass the config's range
+checks. Exit code 0 on success, 1 on failure (pipeline failures name the
+failing stage).
 """
 
 from __future__ import annotations
@@ -19,13 +19,12 @@ import logging
 import sys
 
 from .embeddings import load_embeddings
-from .lexicon import InducedDictionary
+from .lexicon import InducedDictionary, read_extracted_counts
 from .pipeline import (
     PipelineConfig,
     align_stage,
     dictionary_stage,
     evaluate_stage,
-    extract_stage,
     inventory_stage,
     lm_stage,
     phrases_stage,
@@ -40,7 +39,7 @@ from .retrieval import METHODS, RetrievalConfig, induce_dictionary
 
 log = logging.getLogger(__name__)
 
-_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(PipelineConfig))
+_CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
 
 
 def _config(args: argparse.Namespace) -> PipelineConfig:
@@ -120,12 +119,9 @@ def _cmd_align(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_extract(args: argparse.Namespace) -> int:
+def _cmd_dictionary(args: argparse.Namespace) -> int:
     config = _config(args)
-    counts = extract_stage(
-        config, tokenized(config, args.src), tokenized(config, args.tgt), args.links, args.counts
-    )
-    dictionary = dictionary_stage(config, counts, args.out)
+    dictionary = dictionary_stage(config, read_extracted_counts(args.counts), args.out)
     log.info("dictionary with %d source words written to %s", len(dictionary), args.out)
     return 0
 
@@ -144,6 +140,16 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         else:
             print(f"{direction} dictionary {summary.dictionary_path}")
     return 0
+
+
+def _add_settings(parser: argparse.ArgumentParser, *names: str) -> None:
+    """One flag per named PipelineConfig field: `--` and its `flag` (or its
+    config key) with dashes, typed as its default, with the field as
+    `dest`."""
+    for name in names:
+        f = _CONFIG_FIELDS[name]
+        flag = f.metadata["flag"] or f.metadata["key"] or name
+        parser.add_argument("--" + flag.replace("_", "-"), dest=name, type=type(f.default))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,17 +184,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-fwd", required=True, help="source-to-target table file")
     p.add_argument("--out-rev", required=True, help="target-to-source table file")
     p.add_argument("--out-tau", help="optional fitted-temperature report")
-    p.add_argument("--vocab-size", type=int)
-    p.add_argument("--ngram-cap", type=int)
-    p.add_argument("--candidates", type=int)
-    p.add_argument("--reverse-sample", type=int)
-    p.add_argument("--seed", dest="phrase_seed", type=int)
+    _add_settings(p, "vocab_size", "ngram_cap", "candidates", "reverse_sample", "phrase_seed")
 
     p = add("train-lm", _cmd_train_lm, "train the Kneser-Ney language model")
     p.add_argument("--input", required=True, help="training text, one sentence per line")
     p.add_argument("--out", required=True)
-    p.add_argument("--order", dest="lm_order", type=int)
-    p.add_argument("--discount", dest="lm_discount", type=float)
+    _add_settings(p, "lm_order", "lm_discount")
 
     p = add("tune", _cmd_tune, "tune decoder weights on a dev sample")
     p.add_argument("--table", required=True, help="forward phrase table")
@@ -197,13 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rev-lm", required=True, help="source-language model")
     p.add_argument("--input", required=True, help="source corpus to sample the dev set from")
     p.add_argument("--out", required=True, help="tuned weights file")
-    p.add_argument("--dev-size", type=int)
-    p.add_argument("--seed", dest="dev_seed", type=int)
-    p.add_argument("--sweeps", type=int)
-    p.add_argument("--golden-iterations", type=int)
-    p.add_argument("--beam", type=int)
-    p.add_argument("--distortion-limit", type=int)
-    p.add_argument("--options-limit", type=int)
+    _add_settings(
+        p, "dev_size", "dev_seed", "sweeps", "golden_iterations", "beam", "distortion_limit", "options_limit"
+    )
 
     p = add("translate", _cmd_translate, "translate a corpus with the beam decoder")
     p.add_argument("--table", required=True)
@@ -212,31 +209,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--out-src", help="also write the source sentences that were translated")
-    p.add_argument("--cap", dest="corpus_cap", type=int, help="max sentences to translate")
-    p.add_argument("--beam", type=int)
-    p.add_argument("--distortion-limit", type=int)
-    p.add_argument("--options-limit", type=int)
-    p.add_argument("--workers", type=int)
+    _add_settings(p, "corpus_cap", "beam", "distortion_limit", "options_limit", "workers")
 
     p = add("align", _cmd_align, "IBM-2 word alignment, symmetrization and phrase-pair counts")
     p.add_argument("--src", required=True, help="source side of the parallel corpus")
     p.add_argument("--tgt", required=True, help="target side of the parallel corpus")
     p.add_argument("--out", required=True, help="symmetrized links output")
     p.add_argument("--counts", help="optional dump of the one-word-source phrase-pair counts")
-    p.add_argument("--max-phrase-len", type=int)
-    p.add_argument("--iterations", dest="align_iterations", type=int)
-    p.add_argument("--tension", dest="align_tension", type=float)
-    p.add_argument("--null-prob", dest="align_null_prob", type=float)
-    p.add_argument("--grad-steps", dest="align_grad_steps", type=int)
+    _add_settings(
+        p, "max_phrase_len", "align_iterations", "align_tension", "align_null_prob", "align_grad_steps"
+    )
 
-    p = add("extract", _cmd_extract, "extract phrase pairs and build the dictionary")
-    p.add_argument("--src", required=True)
-    p.add_argument("--tgt", required=True)
-    p.add_argument("--links", required=True, help="symmetrized link file")
+    p = add("dictionary", _cmd_dictionary, "rank the word dictionary from phrase-pair counts")
+    p.add_argument("--counts", required=True, help="phrase-pair counts written by align --counts")
     p.add_argument("--out", required=True, help="dictionary tsv output")
-    p.add_argument("--counts", help="optional dump of the one-word-source phrase-pair counts")
-    p.add_argument("--max-phrase-len", type=int)
-    p.add_argument("--denominator", choices=("filtered", "full"))
+    _add_settings(p, "denominator")
 
     p = add("evaluate", _cmd_evaluate, "precision@1 of a dictionary against gold")
     p.add_argument("--pred", required=True, help="induced dictionary tsv")

@@ -50,7 +50,7 @@ from .aligner import (
     DEFAULT_TENSION,
     align_corpus,
     grow_diag_final_and,
-    read_links,
+    read_links,  # not called here: perfbench/tracing.py wraps it on this module
     train_ibm2,
     write_links,
 )
@@ -133,10 +133,12 @@ LOCK_NAME = ".lock"
 DIRECTIONS = ("src2tgt", "tgt2src")
 
 
-def _setting(section: str, default, key: str | None = None):
+def _setting(section: str, default, key: str | None = None, flag: str | None = None):
     """A config field stored in the config file as option `key` (the field
-    name unless given) of `[section]`; the type of `default` is its kind."""
-    return field(default=default, metadata={"section": section, "key": key})
+    name unless given) of `[section]`, and set on the command line by
+    `--flag` (the key, with dashes, unless given); the type of `default` is
+    its kind."""
+    return field(default=default, metadata={"section": section, "key": key, "flag": flag})
 
 
 _TUNER = TunerConfig()
@@ -170,9 +172,9 @@ class PipelineConfig:
     beam: int = _setting("decoder", DEFAULT_BEAM)
     distortion_limit: int = _setting("decoder", DEFAULT_DISTORTION_LIMIT)
     options_limit: int = _setting("decoder", 0)
-    corpus_cap: int = _setting("decoder", DEFAULT_CORPUS_CAP)
+    corpus_cap: int = _setting("decoder", DEFAULT_CORPUS_CAP, flag="cap")
     dev_size: int = _setting("tuner", 2000)
-    dev_seed: int = _setting("tuner", 42)
+    dev_seed: int = _setting("tuner", 42, flag="seed")
     sweeps: int = _setting("tuner", _TUNER.sweeps)
     golden_iterations: int = _setting("tuner", _TUNER.golden_iterations)
     cyclic_weight: float = _setting("tuner", _TUNER.cyclic_weight)
@@ -197,8 +199,9 @@ class PipelineConfig:
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.sweeps < 0:
-            raise ValueError(f"sweeps must be >= 0, got {self.sweeps}")
+        for name in ("sweeps", "align_tension", "align_grad_steps"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.options_limit < 0:
             raise ValueError(f"options_limit must be >= 0 (0 = unlimited), got {self.options_limit}")
         if self.distortion_limit < -1:
@@ -482,14 +485,6 @@ def _train_aligner(config: PipelineConfig, pairs):
     )
 
 
-def _check_lines(stage: str, *files: tuple[str | Path, int]) -> None:
-    """Raise unless the (file, line count) pairs of a parallel input all
-    have the same count."""
-    if len({lines for _, lines in files}) > 1:
-        counts = ", ".join(f"{path} has {lines} lines" for path, lines in files)
-        raise ValueError(f"{stage}: {counts}")
-
-
 def tokenized(config: PipelineConfig, path: str | Path) -> Corpus:
     """Read a raw corpus file and tokenize it by the config's rules."""
     return load_corpus(path, config.aggressive_hyphens, config.lowercase)
@@ -599,15 +594,6 @@ def translate_stage(
     return len(pairs)
 
 
-def _extracted(config: PipelineConfig, pairs, link_sets, out: str | Path | None) -> ExtractedCounts:
-    """Count the one-word-source phrase pairs that `link_sets` license in
-    the sentence `pairs`; with `out`, write the counts."""
-    counts = count_extractions(pairs, link_sets, config.max_phrase_len)
-    if out:
-        write_extracted_counts(counts, out)
-    return counts
-
-
 def align_stage(
     config: PipelineConfig,
     src: Corpus,
@@ -619,7 +605,10 @@ def align_stage(
     grow-diag-final-and symmetrization of the links in source-target
     orientation; with `out_counts`, also write the one-word-source phrase
     pairs those links license."""
-    _check_lines("align", (src.source_path, len(src)), (tgt.source_path, len(tgt)))
+    if len(src) != len(tgt):
+        raise ValueError(
+            f"align: {src.source_path} has {len(src)} lines, {tgt.source_path} has {len(tgt)} lines"
+        )
     pairs = list(zip(src.sentences, tgt.sentences))
     forward = align_corpus(_train_aligner(config, pairs), pairs)
     flipped = [(t, s) for s, t in pairs]
@@ -627,20 +616,7 @@ def align_stage(
     link_sets = [grow_diag_final_and(a, {(j, i) for i, j in b}) for a, b in zip(forward, reverse)]
     write_links(link_sets, out)
     if out_counts:
-        _extracted(config, pairs, link_sets, out_counts)
-
-
-def extract_stage(
-    config: PipelineConfig, src: Corpus, tgt: Corpus, links: str | Path,
-    out: str | Path | None = None,
-) -> ExtractedCounts:
-    """Count the one-word-source phrase pairs that the symmetrized `links`
-    file licenses in the parallel corpus; with `out`, write the counts."""
-    link_sets = read_links(links)
-    _check_lines(
-        "extract", (src.source_path, len(src)), (tgt.source_path, len(tgt)), (links, len(link_sets))
-    )
-    return _extracted(config, zip(src.sentences, tgt.sentences), link_sets, out)
+        write_extracted_counts(count_extractions(pairs, link_sets, config.max_phrase_len), out_counts)
 
 
 def dictionary_stage(

@@ -1,5 +1,6 @@
 """Command-line interface: argument handling, exit codes, output formats."""
 
+import argparse
 import subprocess
 import sys
 from collections import Counter
@@ -9,9 +10,10 @@ import pytest
 
 from conftest import make_micro_cipher, micro_config
 from lexinduct import (
-    InducedDictionary, load_lm, read_extracted_counts, read_links, run_pipeline, write_config,
+    InducedDictionary, PipelineConfig, load_lm, read_extracted_counts, read_links, run_pipeline,
+    write_config,
 )
-from lexinduct.cli import main
+from lexinduct.cli import build_parser, main
 
 
 def run_cli(argv):
@@ -214,32 +216,6 @@ class TestAlign:
         assert "lines" in capsys.readouterr().err
 
 
-class TestExtract:
-    def test_unequal_line_counts_exit_1_naming_the_files(self, tmp_path, capsys):
-        src, tgt, links = tmp_path / "src.txt", tmp_path / "tgt.txt", tmp_path / "links.txt"
-        src.write_text("a b\nc d\ne f\n", encoding="utf-8")
-        tgt.write_text("x y\nz w\n", encoding="utf-8")
-        links.write_text("0-0 1-1\n0-0 1-1\n", encoding="utf-8")
-        code = run_cli(["extract", "--src", str(src), "--tgt", str(tgt), "--links", str(links),
-                        "--out", str(tmp_path / "dict.tsv")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert str(src) in err and str(tgt) in err
-        assert not (tmp_path / "dict.tsv").exists()
-
-    def test_out_of_range_link_exits_1(self, tmp_path, capsys):
-        src, tgt, links = tmp_path / "src.txt", tmp_path / "tgt.txt", tmp_path / "links.txt"
-        src.write_text("a b\n", encoding="utf-8")
-        tgt.write_text("x y\n", encoding="utf-8")
-        links.write_text("0-0 1-2\n", encoding="utf-8")
-        code = run_cli(["extract", "--src", str(src), "--tgt", str(tgt), "--links", str(links),
-                        "--out", str(tmp_path / "dict.tsv")])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error: link 1-2 out of range")
-        assert not (tmp_path / "dict.tsv").exists()
-
-
 class TestStageChain:
     """Drive every stage subcommand over the micro cipher benchmark."""
 
@@ -279,16 +255,12 @@ class TestStageChain:
         produced = synthetic.read_text(encoding="utf-8").splitlines()
         assert len(produced) == 80
 
-        links = tmp_path / "links.txt"
+        links, counts = tmp_path / "links.txt", tmp_path / "counts.txt"
         assert run_cli(["align", "--src", str(fx.src_corpus), "--tgt", str(synthetic),
-                        "--out", str(links)]) == 0
+                        "--out", str(links), "--counts", str(counts)]) == 0
 
         dictionary = tmp_path / "dict.tsv"
-        counts = tmp_path / "counts.txt"
-        assert run_cli(["extract", "--src", str(fx.src_corpus), "--tgt", str(synthetic),
-                        "--links", str(links), "--out", str(dictionary),
-                        "--counts", str(counts)]) == 0
-        assert counts.exists()
+        assert run_cli(["dictionary", "--counts", str(counts), "--out", str(dictionary)]) == 0
 
         assert run_cli(["evaluate", "--pred", str(dictionary), "--gold", str(fx.gold)]) == 0
         report = capsys.readouterr().out.strip().split()
@@ -421,9 +393,7 @@ class TestPipelineParity:
             "--out", str(out / "synthetic.txt"))
         cli("align", "--src", str(fx.src_corpus), "--tgt", str(out / "synthetic.txt"),
             "--out", str(out / "links.txt"), "--counts", str(out / "counts.txt"))
-        cli("extract", "--src", str(fx.src_corpus), "--tgt", str(out / "synthetic.txt"),
-            "--links", str(out / "links.txt"), "--out", str(out / "dict.tsv"),
-            "--counts", str(out / "extract_counts.txt"))
+        cli("dictionary", "--counts", str(out / "counts.txt"), "--out", str(out / "dict.tsv"))
 
         work = tmp_path / "work"
         pairs = {
@@ -436,7 +406,6 @@ class TestPipelineParity:
             "synthetic.txt": "src2tgt/synthetic.target.txt",
             "links.txt": "src2tgt/links.txt",
             "counts.txt": "src2tgt/extract_counts.txt",
-            "extract_counts.txt": "src2tgt/extract_counts.txt",
             "dict.tsv": "src2tgt/dictionary.tsv",
         }
         for mine, theirs in pairs.items():
@@ -465,3 +434,142 @@ class TestConfigChecks:
         assert code == 1
         assert "golden_iterations must be >= 1" in capsys.readouterr().err
         assert not weights.exists()
+
+    def test_dictionary_denominator_obeys_the_config_check(self, tmp_path, capsys):
+        counts, out = tmp_path / "counts.txt", tmp_path / "dict.tsv"
+        counts.write_text("a ||| x ||| 2\n", encoding="utf-8")
+        code = run_cli(["dictionary", "--counts", str(counts), "--out", str(out),
+                        "--denominator", "bogus"])
+        assert code == 1
+        assert "denominator must be 'filtered' or 'full'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, name, value", [("--tension", "align_tension", -2.0), ("--grad-steps", "align_grad_steps", -1)]
+    )
+    def test_aligner_settings_must_not_be_negative(self, tmp_path, capsys, flag, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+            PipelineConfig(**{name: value})
+        PipelineConfig(**{name: type(value)(0)})
+        src = tmp_path / "src.txt"
+        src.write_text("a b\nb a\n", encoding="utf-8")
+        links = tmp_path / "links.txt"
+        code = run_cli(["align", "--src", str(src), "--tgt", str(src), "--out", str(links),
+                        flag, str(value)])
+        assert code == 1
+        assert f"{name} must be >= 0, got {value}" in capsys.readouterr().err
+        assert not links.exists()
+
+
+# Every subcommand's flags: option strings, dest, type and whether required.
+# The PipelineConfig flags are built from the config's fields, so a field
+# whose key, flag name or type changes shows here.
+FLAGS = {
+    "induce": [
+        ("--config", "config", None, False),
+        ("--method", "method", None, True),
+        ("--src-emb", "src_emb", None, True),
+        ("--tgt-emb", "tgt_emb", None, True),
+        ("--queries", "queries", None, True),
+        ("--out", "out", None, True),
+        ("--temperature", "temperature", float, False),
+        ("--csls-k", "csls_k", int, False),
+        ("--top", "top", int, False),
+    ],
+    "phrase-table": [
+        ("--config", "config", None, False),
+        ("--src-corpus", "src_corpus", None, True),
+        ("--tgt-corpus", "tgt_corpus", None, True),
+        ("--src-emb", "src_emb", None, True),
+        ("--tgt-emb", "tgt_emb", None, True),
+        ("--out-fwd", "out_fwd", None, True),
+        ("--out-rev", "out_rev", None, True),
+        ("--out-tau", "out_tau", None, False),
+        ("--vocab-size", "vocab_size", int, False),
+        ("--ngram-cap", "ngram_cap", int, False),
+        ("--candidates", "candidates", int, False),
+        ("--reverse-sample", "reverse_sample", int, False),
+        ("--seed", "phrase_seed", int, False),
+    ],
+    "train-lm": [
+        ("--config", "config", None, False),
+        ("--input", "input", None, True),
+        ("--out", "out", None, True),
+        ("--order", "lm_order", int, False),
+        ("--discount", "lm_discount", float, False),
+    ],
+    "tune": [
+        ("--config", "config", None, False),
+        ("--table", "table", None, True),
+        ("--rev-table", "rev_table", None, True),
+        ("--lm", "lm", None, True),
+        ("--rev-lm", "rev_lm", None, True),
+        ("--input", "input", None, True),
+        ("--out", "out", None, True),
+        ("--dev-size", "dev_size", int, False),
+        ("--seed", "dev_seed", int, False),
+        ("--sweeps", "sweeps", int, False),
+        ("--golden-iterations", "golden_iterations", int, False),
+        ("--beam", "beam", int, False),
+        ("--distortion-limit", "distortion_limit", int, False),
+        ("--options-limit", "options_limit", int, False),
+    ],
+    "translate": [
+        ("--config", "config", None, False),
+        ("--table", "table", None, True),
+        ("--lm", "lm", None, True),
+        ("--weights", "weights", None, False),
+        ("--input", "input", None, True),
+        ("--out", "out", None, True),
+        ("--out-src", "out_src", None, False),
+        ("--cap", "corpus_cap", int, False),
+        ("--beam", "beam", int, False),
+        ("--distortion-limit", "distortion_limit", int, False),
+        ("--options-limit", "options_limit", int, False),
+        ("--workers", "workers", int, False),
+    ],
+    "align": [
+        ("--config", "config", None, False),
+        ("--src", "src", None, True),
+        ("--tgt", "tgt", None, True),
+        ("--out", "out", None, True),
+        ("--counts", "counts", None, False),
+        ("--max-phrase-len", "max_phrase_len", int, False),
+        ("--iterations", "align_iterations", int, False),
+        ("--tension", "align_tension", float, False),
+        ("--null-prob", "align_null_prob", float, False),
+        ("--grad-steps", "align_grad_steps", int, False),
+    ],
+    "dictionary": [
+        ("--config", "config", None, False),
+        ("--counts", "counts", None, True),
+        ("--out", "out", None, True),
+        ("--denominator", "denominator", str, False),
+    ],
+    "evaluate": [
+        ("--config", "config", None, False),
+        ("--pred", "pred", None, True),
+        ("--gold", "gold", None, True),
+    ],
+    "pipeline": [
+        ("--config", "config", None, False),
+    ],
+}
+
+
+class TestFlags:
+    @staticmethod
+    def subparsers():
+        action = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    def test_subcommands(self):
+        assert list(self.subparsers()) == list(FLAGS)
+
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_flags(self, command):
+        got = [
+            (*a.option_strings, a.dest, a.type, a.required)
+            for a in self.subparsers()[command]._actions if a.dest != "help"
+        ]
+        assert got == FLAGS[command]
