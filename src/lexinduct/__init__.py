@@ -44,7 +44,6 @@ from .embeddings import (
     load_embeddings,
     save_cache,
     unit_normalize,
-    write_embeddings,
 )
 from .evaluation import GoldDictionary, precision_at_1, read_gold
 from .lexicon import (
@@ -157,7 +156,6 @@ __all__ = [
     "unit_normalize",
     "write_config",
     "write_corpus",
-    "write_embeddings",
     "write_extracted_counts",
     "write_links",
 ]

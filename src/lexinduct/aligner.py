@@ -6,9 +6,9 @@ Each target position j (1-based, sentence lengths m source / n target)
 aligns to the null word with probability p0 or to source position i with
 probability (1 - p0) * exp(-lambda * |i/m - j/n|), renormalized over the
 source positions of that target position. EM re-estimates the word
-translation table in closed form and improves lambda with a few projected
-gradient steps on the expected complete-data log likelihood, which keeps
-the data log likelihood monotone.
+translation table in closed form; the tension lambda stays as configured.
+fast_align learns it, but on a sparse t(f|e) maximum likelihood drives it
+up at every iteration, and a low fixed lambda aligns better.
 
 Words are interned to int ids, source id 0 being the null word, and t(f|e)
 is one array over the ascending keys e * (|F| + 1) + f. EM and Viterbi
@@ -19,7 +19,6 @@ positions included, goes to null and then to the smaller source index.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,9 +32,8 @@ Link = tuple[int, int]
 Pair = tuple[Sequence[str], Sequence[str]]
 
 DEFAULT_ITERATIONS = 5
-DEFAULT_TENSION = 4.0
+DEFAULT_TENSION = 1.0
 DEFAULT_NULL_PROB = 0.08
-DEFAULT_GRAD_STEPS = 8
 
 # Cells, (m + 1) * n per pair, in a block: EM holds a few arrays this size.
 _BLOCK_CELLS = 1 << 16
@@ -106,7 +104,6 @@ def train_ibm2(
     iterations: int = DEFAULT_ITERATIONS,
     tension: float = DEFAULT_TENSION,
     null_prob: float = DEFAULT_NULL_PROB,
-    grad_steps: int = DEFAULT_GRAD_STEPS,
 ) -> AlignmentModel:
     """EM over a parallel corpus, generating target words from source words.
 
@@ -132,18 +129,18 @@ def train_ibm2(
     e_of_key = keys // width
     probs = 1.0 / np.bincount(e_of_key)[e_of_key]
 
-    dmats = {shape: _distance_matrix(*shape) for shape, _, _, _ in blocks if shape[0]}
-    lam = float(tension)
+    # The tension is fixed, so each shape's prior is the same at every iteration.
+    priors = {
+        (m, n): _prior(m, n, tension, null_prob, _distance_matrix(m, n)) if m else np.ones((1, n))
+        for (m, n), _, _, _ in blocks
+    }
     history: list[float] = []
 
     for _ in range(iterations):
         counts = np.zeros(keys.size, dtype=np.float64)
-        a_total = 0.0
-        shape_mass: dict[tuple[int, int], np.ndarray] = {}
         ll = 0.0
         for shape, _, src, tgt in blocks:
-            m, n = shape
-            prior = _prior(m, n, lam, null_prob, dmats[shape]) if m else np.ones((1, n))
+            prior = priors[shape]
             distinct, inverse = _cell_keys(src, tgt, width)
             at = np.searchsorted(keys, distinct)
             joint = prior * probs[at][inverse]
@@ -153,64 +150,10 @@ def train_ibm2(
             # A bincount over the block's own keys costs what the block does,
             # not what the whole table does.
             counts[at] += np.bincount(inverse.ravel(), gamma.ravel(), at.size)
-            if m:
-                post = gamma[:, 1:]
-                a_total += float((post * dmats[shape]).sum())
-                mass = post.sum(axis=(0, 1))
-                shape_mass[shape] = shape_mass[shape] + mass if shape in shape_mass else mass
         history.append(ll)
         probs = counts / np.bincount(e_of_key, counts)[e_of_key]
-        lam = _update_tension(lam, a_total, shape_mass, dmats, grad_steps)
 
-    return AlignmentModel(src_ids, tgt_ids, keys, probs, lam, null_prob, tuple(history))
-
-
-def _tension_objective(
-    lam: float,
-    a_total: float,
-    shape_mass: dict[tuple[int, int], np.ndarray],
-    dmats: dict[tuple[int, int], np.ndarray],
-) -> tuple[float, float]:
-    """Expected complete-data log likelihood in lambda (up to constants) and
-    its gradient."""
-    q = -lam * a_total
-    grad = -a_total
-    for key, mass in shape_mass.items():
-        d = dmats[key]
-        w = np.exp(-lam * d)
-        z = w.sum(axis=0)
-        q += float((mass * -np.log(z)).sum())
-        grad += float((mass * (w * d).sum(axis=0) / z).sum())
-    return q, grad
-
-
-def _update_tension(
-    lam: float,
-    a_total: float,
-    shape_mass: dict[tuple[int, int], np.ndarray],
-    dmats: dict[tuple[int, int], np.ndarray],
-    grad_steps: int,
-) -> float:
-    """Projected gradient ascent on the tension: fixed step budget, step
-    halved on non-improvement, lambda clamped at zero.
-
-    A step whose objective or gradient is not finite is rejected like a
-    non-improving one: past the point where exp(-lambda * d) underflows for
-    a whole column the objective reads +inf, which is no improvement.
-    """
-    if not shape_mass:
-        return lam
-    step = 1.0
-    q_cur, g_cur = _tension_objective(lam, a_total, shape_mass, dmats)
-    for _ in range(grad_steps):
-        cand = max(0.0, lam + step * g_cur)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q_cand, g_cand = _tension_objective(cand, a_total, shape_mass, dmats)
-        if math.isfinite(q_cand) and math.isfinite(g_cand) and q_cand > q_cur:
-            lam, q_cur, g_cur = cand, q_cand, g_cand
-        else:
-            step *= 0.5
-    return lam
+    return AlignmentModel(src_ids, tgt_ids, keys, probs, float(tension), null_prob, tuple(history))
 
 
 def align_corpus(model: AlignmentModel, pairs: Sequence[Pair]) -> list[set[Link]]:

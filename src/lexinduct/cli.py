@@ -216,9 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tgt", required=True, help="target side of the parallel corpus")
     p.add_argument("--out", required=True, help="symmetrized links output")
     p.add_argument("--counts", help="optional dump of the one-word-source phrase-pair counts")
-    _add_settings(
-        p, "max_phrase_len", "align_iterations", "align_tension", "align_null_prob", "align_grad_steps"
-    )
+    _add_settings(p, "max_phrase_len", "align_iterations", "align_tension", "align_null_prob")
 
     p = add("dictionary", _cmd_dictionary, "rank the word dictionary from phrase-pair counts")
     p.add_argument("--counts", required=True, help="phrase-pair counts written by align --counts")

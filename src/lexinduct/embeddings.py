@@ -154,14 +154,6 @@ def _parse_embeddings(fh: IO[str], name: str) -> EmbeddingStore:
     return EmbeddingStore(tuple(vocab), rows[:kept])
 
 
-def write_embeddings(store: EmbeddingStore, path: str | Path) -> None:
-    """Inverse of load_embeddings (float32 values printed via repr)."""
-    with atomic_write(path) as fh:
-        fh.write(f"{len(store.vocab)} {store.dim}\n")
-        for tok, row in zip(store.vocab, store.vectors):
-            fh.write(tok + " " + " ".join(repr(float(v)) for v in row) + "\n")
-
-
 def save_cache(store: EmbeddingStore, path: str | Path) -> None:
     """Binary cache: an .npz with a version stamp, the vocab, the float32
     matrix, and the normalized flag. Loadable only by load_cache."""

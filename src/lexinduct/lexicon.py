@@ -189,8 +189,11 @@ def dictionary_from_counts(
 
     Keeps only pairs where both phrases are one word. p(tgt|src) divides the
     pair count by the source marginal over the kept pairs ("filtered",
-    default) or over all extracted pairs ("full"). Candidates are ranked by
-    probability, then raw count, then ascending token.
+    default) or over all extracted pairs ("full"); p(src|tgt) divides it by
+    the target marginal over the kept pairs. Candidates are ranked by the
+    score p(tgt|src) * p(src|tgt), then raw count, then ascending token, so
+    a target that many sources share ranks below one that is this source's
+    own.
     """
     if denominator not in ("filtered", "full"):
         raise ValueError(f"unknown denominator mode {denominator!r}")
@@ -201,9 +204,12 @@ def dictionary_from_counts(
     for (s, t), c in counts.pairs.items():
         if len(s) == 1 and (len(t) == 1 or denominator == "full"):
             marginal[s[0]] += c
+    tgt_marginal: Counter = Counter()
+    for (_, t), c in unigram.items():
+        tgt_marginal[t] += c
     by_src: dict[str, list[tuple[str, float, int]]] = {}
     for (s, t), c in unigram.items():
-        by_src.setdefault(s, []).append((t, c / marginal[s], c))
+        by_src.setdefault(s, []).append((t, c / marginal[s] * (c / tgt_marginal[t]), c))
     entries = {}
     for s, cands in by_src.items():
         cands.sort(key=lambda x: (-x[1], -x[2], x[0]))

@@ -177,14 +177,6 @@ class NGramModel:
             total += value
         return total + self.step(state, EOS)[0]
 
-    def next_word_distribution(self, prefix: Sequence[str]) -> dict[str, float]:
-        """p(word | sentence prefix) for every vocabulary word (unk and the
-        end symbol included). Sums to one up to float rounding."""
-        state = self.initial_state()
-        for token in prefix:
-            state = self.step(state, token)[1]
-        return {w: math.exp(self.step(state, w)[0]) for w in self.vocab}
-
 
 def train_lm(corpus: Iterable[Sequence[str]], order: int = 5, discount: float = 0.75) -> NGramModel:
     """Estimate the model from a tokenized corpus.

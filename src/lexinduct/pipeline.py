@@ -44,7 +44,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .aligner import (
-    DEFAULT_GRAD_STEPS,
     DEFAULT_ITERATIONS,
     DEFAULT_NULL_PROB,
     DEFAULT_TENSION,
@@ -105,8 +104,8 @@ STAGE_VERSIONS = {
     "tables": 1,
     "tune": 1,
     "translate": 1,
-    "align": 3,
-    "dictionary": 1,
+    "align": 4,
+    "dictionary": 2,
     "evaluate": 1,
 }
 # The config fields in each stage kind's digest, under their field names.
@@ -123,7 +122,7 @@ STAGE_PARAMS: dict[str, tuple[str, ...]] = {
         "lm_weight", "length_weight", "weight_lo", "weight_hi",
     ),
     "translate": _DECODER_PARAMS + ("corpus_cap",),
-    "align": ("align_iterations", "align_tension", "align_null_prob", "align_grad_steps", "max_phrase_len"),
+    "align": ("align_iterations", "align_tension", "align_null_prob", "max_phrase_len"),
     "dictionary": ("denominator",),
     "evaluate": (),
 }
@@ -185,7 +184,6 @@ class PipelineConfig:
     align_iterations: int = _setting("aligner", DEFAULT_ITERATIONS, key="iterations")
     align_tension: float = _setting("aligner", DEFAULT_TENSION, key="tension")
     align_null_prob: float = _setting("aligner", DEFAULT_NULL_PROB, key="null_prob")
-    align_grad_steps: int = _setting("aligner", DEFAULT_GRAD_STEPS, key="grad_steps")
     max_phrase_len: int = _setting("lexicon", 3)
     denominator: str = _setting("lexicon", "filtered")
 
@@ -199,7 +197,7 @@ class PipelineConfig:
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("sweeps", "align_tension", "align_grad_steps"):
+        for name in ("sweeps", "align_tension"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.options_limit < 0:
@@ -479,10 +477,7 @@ def _system(
 
 
 def _train_aligner(config: PipelineConfig, pairs):
-    return train_ibm2(
-        pairs, config.align_iterations, config.align_tension,
-        config.align_null_prob, config.align_grad_steps,
-    )
+    return train_ibm2(pairs, config.align_iterations, config.align_tension, config.align_null_prob)
 
 
 def tokenized(config: PipelineConfig, path: str | Path) -> Corpus:

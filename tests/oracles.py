@@ -9,7 +9,9 @@ row at a time and `rank_candidates` ranks every target one query at a time,
 with the softmax normaliser (`log_normalizer`) and the CSLS means
 (`mean_topk`) reduced over the whole cosine matrix at once.
 `train_lm` estimates the Kneser-Ney model from raw counts at every order,
-with the backoff recursion in its interpolation. `reference_decode` is the decoder's
+with the backoff recursion in its interpolation, and `next_word_distribution`
+reads a model's whole conditional distribution after a prefix through its
+`step`. `reference_decode` is the decoder's
 search without pruning at insertion. `table_of` and
 `single_word_table` build `PhraseTable`s by hand; `model_of` builds an
 `AlignmentModel` and `translation_of` reads its t(f|e) back as a dict.
@@ -42,14 +44,12 @@ from lexinduct import (
     unit_normalize,
 )
 from lexinduct.aligner import (
-    DEFAULT_GRAD_STEPS,
     DEFAULT_ITERATIONS,
     DEFAULT_NULL_PROB,
     DEFAULT_TENSION,
     NULL_WORD,
     _distance_matrix,
     _prior,
-    _update_tension,
 )
 from lexinduct.decoder import (
     DEFAULT_BEAM,
@@ -405,7 +405,6 @@ def train_ibm2(
     iterations: int = DEFAULT_ITERATIONS,
     tension: float = DEFAULT_TENSION,
     null_prob: float = DEFAULT_NULL_PROB,
-    grad_steps: int = DEFAULT_GRAD_STEPS,
 ) -> DictAlignment:
     """IBM-2 EM one pair and one (e, f) cell at a time, updating dicts;
     `lexinduct.train_ibm2` computes the same model on arrays, one shape
@@ -423,26 +422,20 @@ def train_ibm2(
         e: {f: 1.0 / len(fs) for f in sorted(fs)} for e, fs in support.items() if fs
     }
 
-    dmats: dict[tuple[int, int], np.ndarray] = {}
-    lam = float(tension)
+    priors: dict[tuple[int, int], np.ndarray] = {}
     history: list[float] = []
 
     for _ in range(iterations):
         counts: dict[str, dict[str, float]] = {}
-        a_total = 0.0
-        shape_mass: dict[tuple[int, int], np.ndarray] = {}
-        priors: dict[tuple[int, int], np.ndarray] = {}
         ll = 0.0
         for src, tgt in corpus:
             m, n = len(src), len(tgt)
             if n == 0:
                 continue
             key = (m, n)
-            if key not in dmats:
-                dmats[key] = _distance_matrix(m, n)
             if key not in priors:
                 if m:
-                    priors[key] = _prior(m, n, lam, null_prob, dmats[key])
+                    priors[key] = _prior(m, n, tension, null_prob, _distance_matrix(m, n))
                 else:
                     priors[key] = np.ones((1, n), dtype=np.float64)
             prior = priors[key]
@@ -460,13 +453,6 @@ def train_ibm2(
                 row = gamma[r]
                 for c, f in enumerate(tgt):
                     ce[f] = ce.get(f, 0.0) + row[c]
-            if m:
-                a_total += float((gamma[1:] * dmats[key]).sum())
-                mass = gamma[1:].sum(axis=0)
-                if key in shape_mass:
-                    shape_mass[key] += mass
-                else:
-                    shape_mass[key] = mass.copy()
         history.append(ll)
 
         table = {
@@ -474,9 +460,8 @@ def train_ibm2(
             for e, row in counts.items()
             if (total := sum(row.values())) > 0.0
         }
-        lam = _update_tension(lam, a_total, shape_mass, dmats, grad_steps)
 
-    return DictAlignment(table, lam, null_prob, tuple(history))
+    return DictAlignment(table, tension, null_prob, tuple(history))
 
 
 def viterbi_align(model: DictAlignment, src: Sequence[str], tgt: Sequence[str]) -> set[tuple[int, int]]:
@@ -684,3 +669,13 @@ def train_lm(corpus: Iterable[Sequence[str]], order: int = 5, discount: float = 
     # the library's derivation of it.
     model.vocab = tuple(sorted(vocab_set))
     return model
+
+
+def next_word_distribution(model: NGramModel, prefix: Sequence[str]) -> dict[str, float]:
+    """p(word | sentence prefix) for every vocabulary word of `model` (unk
+    and the end symbol included), read through `model.step`. Sums to one up
+    to float rounding."""
+    state = model.initial_state()
+    for token in prefix:
+        state = model.step(state, token)[1]
+    return {w: math.exp(model.step(state, w)[0]) for w in model.vocab}

@@ -1,12 +1,13 @@
 """IBM-2 EM training, Viterbi links, symmetrization, and link file IO."""
 
-import math
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 import oracles
+from conftest import make_cipher
 from lexinduct import (
     align_corpus,
     grow_diag_final_and,
@@ -19,8 +20,6 @@ from lexinduct.aligner import (
     NULL_WORD,
     _distance_matrix,
     _prior,
-    _tension_objective,
-    _update_tension,
 )
 from oracles import model_of, translation_of
 
@@ -109,7 +108,7 @@ class TestTrainIbm2:
 
     def test_tension_stays_non_negative(self):
         model = train_ibm2(cipher_pairs(20, seed=5), iterations=3, tension=0.5)
-        assert model.diagonal_tension >= 0.0
+        assert model.diagonal_tension == 0.5
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -134,6 +133,41 @@ class TestCopyCorpus:
             total += len(src)
             identical += sum(1 for i, j in links if i == j)
         assert identical / total >= 0.99
+
+
+class TestNoisySwappedCipher:
+    """Each target word is replaced by a random target word with probability
+    one half, and then each adjacent pair of target positions is swapped, so
+    source position i truly links to its swap partner. A diagonal prior that
+    pulls too hard links the diagonal instead."""
+
+    @staticmethod
+    def precision(link_sets, pairs):
+        def partner(i, n):
+            return i ^ 1 if i ^ 1 < n else i
+
+        right = sum(1 for ls, (_, t) in zip(link_sets, pairs) for i, j in ls if j == partner(i, len(t)))
+        return right / sum(map(len, link_sets))
+
+    def test_link_precision_at_300_pairs(self, tmp_path):
+        cipher = make_cipher(tmp_path, vocab=300, sentences=6000, dim=24, noise=0.8, seed=7)
+        targets = sorted(cipher.mapping.values())
+        rng = random.Random(1)
+        pairs = []
+        with open(cipher.src_corpus, encoding="utf-8") as fs, open(cipher.tgt_corpus, encoding="utf-8") as ft:
+            # The first 300 pairs: the pipeline aligns bitexts of this size.
+            for src, tgt in itertools.islice(zip(fs, ft), 300):
+                t = [rng.choice(targets) if rng.random() < 0.5 else w for w in tgt.split()]
+                for j in range(0, len(t) - 1, 2):
+                    t[j], t[j + 1] = t[j + 1], t[j]
+                pairs.append((src.split(), t))
+        flipped = [(t, s) for s, t in pairs]
+        forward = align_corpus(train_ibm2(pairs), pairs)
+        reverse = align_corpus(train_ibm2(flipped), flipped)
+        symmetrized = [grow_diag_final_and(f, {(i, j) for j, i in r}) for f, r in zip(forward, reverse)]
+        # A tension learned by maximum likelihood reads 0.418 and 0.370 here.
+        assert self.precision(forward, pairs) > 0.55
+        assert self.precision(symmetrized, pairs) > 0.5
 
 
 def links(model, src, tgt):
@@ -302,36 +336,3 @@ class TestLinkIO:
         with pytest.raises(ValueError) as info:
             read_links(path)
         assert str(info.value) == f"{path}: line 2: expected an integer, got 'x'"
-
-
-class TestTensionUpdate:
-    def test_update_never_lowers_objective(self):
-        rng = np.random.default_rng(8)
-        dmats = {(4, 5): _distance_matrix(4, 5), (3, 3): _distance_matrix(3, 3)}
-        shape_mass = {k: rng.uniform(0.5, 2.0, size=d.shape[1]) for k, d in dmats.items()}
-        a_total = float(rng.uniform(0.5, 3.0))
-        for lam0 in (0.1, 4.0, 9.0):
-            q0, _ = _tension_objective(lam0, a_total, shape_mass, dmats)
-            lam1 = _update_tension(lam0, a_total, shape_mass, dmats, grad_steps=8)
-            q1, _ = _tension_objective(lam1, a_total, shape_mass, dmats)
-            assert q1 >= q0 - 1e-12
-            assert lam1 >= 0.0
-
-    def test_step_into_underflow_is_rejected(self):
-        # A unit step from lambda 4 lands where exp(-lambda * d) underflows in
-        # every column with no zero distance: the objective reads +inf there
-        # and the gradient NaN, neither of which may be accepted.
-        d = _distance_matrix(2, 3)
-        dmats = {(2, 3): d}
-        shape_mass = {(2, 3): np.full(3, 1e5)}
-        w = np.exp(-20.0 * d)
-        a_total = float((shape_mass[(2, 3)] * (w * d).sum(axis=0) / w.sum(axis=0)).sum())
-        q0, g0 = _tension_objective(4.0, a_total, shape_mass, dmats)
-        assert (4.0 + g0) * d[:, 0].min() > 746.0
-        lam = _update_tension(4.0, a_total, shape_mass, dmats, grad_steps=8)
-        q1, g1 = _tension_objective(lam, a_total, shape_mass, dmats)
-        assert math.isfinite(lam) and math.isfinite(q1) and math.isfinite(g1)
-        assert q1 >= q0
-
-    def test_no_mass_keeps_lambda(self):
-        assert _update_tension(4.0, 0.0, {}, {}, 8) == 4.0

@@ -445,7 +445,7 @@ class TestConfigChecks:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "flag, name, value", [("--tension", "align_tension", -2.0), ("--grad-steps", "align_grad_steps", -1)]
+        "flag, name, value", [("--tension", "align_tension", -2.0)]
     )
     def test_aligner_settings_must_not_be_negative(self, tmp_path, capsys, flag, name, value):
         with pytest.raises(ValueError, match=f"{name} must be >= 0"):
@@ -538,7 +538,6 @@ FLAGS = {
         ("--iterations", "align_iterations", int, False),
         ("--tension", "align_tension", float, False),
         ("--null-prob", "align_null_prob", float, False),
-        ("--grad-steps", "align_grad_steps", int, False),
     ],
     "dictionary": [
         ("--config", "config", None, False),

@@ -13,10 +13,17 @@ from lexinduct import (
     load_embeddings,
     save_cache,
     unit_normalize,
-    write_embeddings,
 )
 from lexinduct.embeddings import _top_k_rows
 from oracles import top_k_indices
+
+
+def write_embeddings(store, path):
+    """The text format `load_embeddings` reads, float32 values printed via repr."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{len(store.vocab)} {store.dim}\n")
+        for tok, row in zip(store.vocab, store.vectors):
+            fh.write(tok + " " + " ".join(repr(float(v)) for v in row) + "\n")
 
 
 def random_store(rng, n, dim, prefix="w"):

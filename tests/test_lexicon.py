@@ -212,6 +212,21 @@ class TestDictionaryFromCounts:
         assert induced.entries["dog"] == (("perro", 0.75), ("can", 0.25))
         assert induced.top1("dog") == "perro"
 
+    def test_hub_target_loses_on_the_product(self):
+        # "el" is dog's most frequent target, but most of its links come from
+        # another source; "perro" is dog's alone. p(t|s) alone ranks "el" first.
+        counts = ExtractedCounts(Counter({
+            (("dog",), ("el",)): 3,
+            (("dog",), ("perro",)): 2,
+            (("cat",), ("el",)): 10,
+        }))
+        induced = dictionary_from_counts(counts)
+        assert [t for t, _ in induced.entries["dog"]] == ["perro", "el"]
+        np.testing.assert_allclose(
+            [p for _, p in induced.entries["dog"]], [2 / 5 * 2 / 2, 3 / 5 * 3 / 13], rtol=1e-15
+        )
+        np.testing.assert_allclose(dict(induced.entries["cat"])["el"], 10 / 13, rtol=1e-15)
+
     def test_multi_word_pairs_excluded(self):
         counts = ExtractedCounts(Counter({
             (("dog",), ("perro",)): 1,
