@@ -5,7 +5,8 @@ retrieval (nearest neighbor, inverted nearest neighbor, inverted softmax,
 CSLS) and a phrase-based machine-translation pipeline (phrase-table
 induction from phrase embeddings, Kneser-Ney language model, beam-search
 decoding, unsupervised weight tuning, IBM-2 word alignment with
-grow-diag-final-and, phrase extraction, and precision@1 evaluation).
+grow-diag-final-and, a dictionary from the one-to-one links, and
+precision@1 evaluation).
 """
 
 from .aligner import (

@@ -67,7 +67,7 @@ def _cmd_induce(args: argparse.Namespace) -> int:
     src = load_embeddings(args.src_emb)
     tgt = load_embeddings(args.tgt_emb)
     queries = _read_lines(args.queries)
-    top = args.top if args.top > 0 else None
+    top = None if args.top == 0 else args.top
     induced = induce_dictionary(src, tgt, queries, config, top=top)
     induced.write(args.out)
     log.info("wrote %d ranked entries to %s", len(induced), args.out)
@@ -120,8 +120,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
 
 
 def _cmd_dictionary(args: argparse.Namespace) -> int:
-    config = _config(args)
-    dictionary = dictionary_stage(config, read_extracted_counts(args.counts), args.out)
+    dictionary = dictionary_stage(read_extracted_counts(args.counts), args.out)
     log.info("dictionary with %d source words written to %s", len(dictionary), args.out)
     return 0
 
@@ -211,17 +210,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-src", help="also write the source sentences that were translated")
     _add_settings(p, "corpus_cap", "beam", "distortion_limit", "options_limit", "workers")
 
-    p = add("align", _cmd_align, "IBM-2 word alignment, symmetrization and phrase-pair counts")
+    p = add("align", _cmd_align, "IBM-2 word alignment, symmetrization and one-to-one link counts")
     p.add_argument("--src", required=True, help="source side of the parallel corpus")
     p.add_argument("--tgt", required=True, help="target side of the parallel corpus")
     p.add_argument("--out", required=True, help="symmetrized links output")
-    p.add_argument("--counts", help="optional dump of the one-word-source phrase-pair counts")
-    _add_settings(p, "max_phrase_len", "align_iterations", "align_tension", "align_null_prob")
+    p.add_argument("--counts", help="optional dump of the one-to-one link counts")
+    _add_settings(p, "align_iterations", "align_tension", "align_null_prob")
 
-    p = add("dictionary", _cmd_dictionary, "rank the word dictionary from phrase-pair counts")
-    p.add_argument("--counts", required=True, help="phrase-pair counts written by align --counts")
+    p = add("dictionary", _cmd_dictionary, "rank the word dictionary from pair counts")
+    p.add_argument("--counts", required=True, help="pair counts written by align --counts")
     p.add_argument("--out", required=True, help="dictionary tsv output")
-    _add_settings(p, "denominator")
 
     p = add("evaluate", _cmd_evaluate, "precision@1 of a dictionary against gold")
     p.add_argument("--pred", required=True, help="induced dictionary tsv")

@@ -1,13 +1,14 @@
 """Phrase-pair extraction from aligned sentence pairs and the bilingual
-dictionary distilled from the extracted counts.
+dictionary distilled from one-to-one links.
 
 A phrase pair is extracted from a span pair when both sides are at most
 max_len words, at least one alignment link falls inside, and no link crosses
 the span boundary (the standard consistency definition). The minimal target
 span is additionally extended over adjacent *unaligned target* words;
 source spans are enumerated exhaustively, so no source-side extension pass
-is needed. The dictionary reads only pairs with a one-word source, so
-`count_extractions` extracts only those; `extract_phrases` gives every pair.
+is needed. The dictionary reads only pairs of one word on each side, and
+such a pair is consistent exactly when its link is the only link of both
+words, so `count_extractions` counts those one-to-one links directly.
 """
 
 from __future__ import annotations
@@ -76,12 +77,6 @@ def extract_phrases(
 
     Returns one entry per extraction occurrence (duplicates preserved so the
     caller can count). Deterministic order: by source span, then target span.
-    """
-    return _extract(src_tokens, tgt_tokens, links, max_len, max_len)
-
-
-def _extract(src_tokens, tgt_tokens, links: set[Link], max_len: int, max_src: int):
-    """`extract_phrases` restricted to source spans of at most `max_src` words.
 
     Linear in the links plus the source spans: the links are indexed by
     source position, each span keeps the running bounds and count of its
@@ -92,11 +87,10 @@ def _extract(src_tokens, tgt_tokens, links: set[Link], max_len: int, max_src: in
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     m, n = len(src_tokens), len(tgt_tokens)
+    _check_links(links, m, n)
     targets: list[list[int]] = [[] for _ in range(m)]
     per_target = [0] * (n + 1)
     for s, t in links:
-        if not (0 <= s < m and 0 <= t < n):
-            raise ValueError(f"link {s}-{t} out of range for lengths {m},{n}")
         targets[s].append(t)
         per_target[t + 1] += 1
     # before[j]: the number of links whose target lies before position j.
@@ -105,7 +99,7 @@ def _extract(src_tokens, tgt_tokens, links: set[Link], max_len: int, max_src: in
     pairs: list[tuple[Phrase, Phrase]] = []
     for i1 in range(m):
         j1, j2, inside = n, -1, 0
-        for i2 in range(i1, min(i1 + max_src, m)):
+        for i2 in range(i1, min(i1 + max_len, m)):
             if targets[i2]:
                 j1 = min(j1, *targets[i2])
                 j2 = max(j2, *targets[i2])
@@ -129,6 +123,12 @@ def _extract(src_tokens, tgt_tokens, links: set[Link], max_len: int, max_src: in
     return pairs
 
 
+def _check_links(links: set[Link], m: int, n: int) -> None:
+    for s, t in links:
+        if not (0 <= s < m and 0 <= t < n):
+            raise ValueError(f"link {s}-{t} out of range for lengths {m},{n}")
+
+
 @dataclass
 class ExtractedCounts:
     """Occurrence counts of extracted phrase pairs."""
@@ -139,17 +139,20 @@ class ExtractedCounts:
 def count_extractions(
     bitext: Iterable[tuple[Sequence[str], Sequence[str]]],
     link_sets: Iterable[set[Link]],
-    max_len: int = 3,
 ) -> ExtractedCounts:
-    """Run extraction over a parallel corpus and tally the occurrences of
-    the pairs whose source is one word, the only ones the dictionary reads;
-    their target spans still reach `max_len` words."""
+    """Tally the one-to-one links of a parallel corpus: ((s_i,), (t_j,))
+    for each link (i, j) that is the only link of source position i and of
+    target position j, which are the one-word pairs `extract_phrases` gives."""
     counts = ExtractedCounts()
     n_pairs = 0
     for (src, tgt), links in zip(bitext, link_sets, strict=True):
         n_pairs += 1
-        for pair in _extract(src, tgt, links, max_len, 1):
-            counts.pairs[pair] += 1
+        _check_links(links, len(src), len(tgt))
+        per_src = Counter(s for s, _ in links)
+        per_tgt = Counter(t for _, t in links)
+        for s, t in links:
+            if per_src[s] == 1 and per_tgt[t] == 1:
+                counts.pairs[((src[s],), (tgt[t],))] += 1
     if n_pairs == 0:
         raise ValueError("empty bitext")
     return counts
@@ -177,35 +180,30 @@ def read_extracted_counts(path: str | Path) -> ExtractedCounts:
             if len(parts) != 3:
                 raise ValueError(f"{path}: line {lineno}: expected 3 '|||' fields")
             c = parse_number(int, parts[2], path, lineno)
+            if c < 1:
+                raise ValueError(f"{path}: line {lineno}: count must be >= 1, got {c}")
             counts.pairs[(tuple(parts[0].split(" ")), tuple(parts[1].split(" ")))] += c
     return counts
 
 
-def dictionary_from_counts(
-    counts: ExtractedCounts,
-    denominator: str = "filtered",
-) -> InducedDictionary:
+def dictionary_from_counts(counts: ExtractedCounts) -> InducedDictionary:
     """Single-word dictionary from extraction counts.
 
-    Keeps only pairs where both phrases are one word. p(tgt|src) divides the
-    pair count by the source marginal over the kept pairs ("filtered",
-    default) or over all extracted pairs ("full"); p(src|tgt) divides it by
-    the target marginal over the kept pairs. Candidates are ranked by the
-    score p(tgt|src) * p(src|tgt), then raw count, then ascending token, so
-    a target that many sources share ranks below one that is this source's
-    own.
+    Keeps only pairs where both phrases are one word, so a counts file that
+    also holds multi-word pairs gives the same dictionary. p(tgt|src)
+    divides the pair count by the source marginal over the kept pairs, and
+    p(src|tgt) divides it by the target marginal. Candidates are ranked by
+    the score p(tgt|src) * p(src|tgt), then raw count, then ascending token,
+    so a target that many sources share ranks below one that is this
+    source's own.
     """
-    if denominator not in ("filtered", "full"):
-        raise ValueError(f"unknown denominator mode {denominator!r}")
     unigram = {
         (s[0], t[0]): c for (s, t), c in counts.pairs.items() if len(s) == 1 and len(t) == 1
     }
     marginal: Counter = Counter()
-    for (s, t), c in counts.pairs.items():
-        if len(s) == 1 and (len(t) == 1 or denominator == "full"):
-            marginal[s[0]] += c
     tgt_marginal: Counter = Counter()
-    for (_, t), c in unigram.items():
+    for (s, t), c in unigram.items():
+        marginal[s] += c
         tgt_marginal[t] += c
     by_src: dict[str, list[tuple[str, float, int]]] = {}
     for (s, t), c in unigram.items():

@@ -6,7 +6,7 @@ requested direction):
     corpus -> inventory -> phrase embeddings -\\
     corpus -> language model                   > tables -> tune -> translate
                                                      -> align, with symmetrization and
-                                                        extraction of one-word sources
+                                                        counts of one-to-one links
                                                      -> dictionary -> evaluate
 
 Every stage's inputs are content-addressed: the stage digest is a sha256
@@ -104,7 +104,7 @@ STAGE_VERSIONS = {
     "tables": 1,
     "tune": 1,
     "translate": 1,
-    "align": 4,
+    "align": 5,
     "dictionary": 2,
     "evaluate": 1,
 }
@@ -122,8 +122,8 @@ STAGE_PARAMS: dict[str, tuple[str, ...]] = {
         "lm_weight", "length_weight", "weight_lo", "weight_hi",
     ),
     "translate": _DECODER_PARAMS + ("corpus_cap",),
-    "align": ("align_iterations", "align_tension", "align_null_prob", "max_phrase_len"),
-    "dictionary": ("denominator",),
+    "align": ("align_iterations", "align_tension", "align_null_prob"),
+    "dictionary": (),
     "evaluate": (),
 }
 WORK_DIR_ENV = "LEXINDUCT_WORK_DIR"
@@ -184,8 +184,6 @@ class PipelineConfig:
     align_iterations: int = _setting("aligner", DEFAULT_ITERATIONS, key="iterations")
     align_tension: float = _setting("aligner", DEFAULT_TENSION, key="tension")
     align_null_prob: float = _setting("aligner", DEFAULT_NULL_PROB, key="null_prob")
-    max_phrase_len: int = _setting("lexicon", 3)
-    denominator: str = _setting("lexicon", "filtered")
 
     def __post_init__(self) -> None:
         if self.direction not in DIRECTIONS + ("both",):
@@ -193,7 +191,7 @@ class PipelineConfig:
         for name in (
             "workers", "vocab_size", "ngram_cap", "candidates", "reverse_sample",
             "lm_order", "beam", "corpus_cap", "dev_size", "golden_iterations",
-            "align_iterations", "max_phrase_len",
+            "align_iterations",
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -210,8 +208,6 @@ class PipelineConfig:
             raise ValueError(f"align_null_prob must lie in (0, 1), got {self.align_null_prob}")
         if not self.weight_lo < self.weight_hi:
             raise ValueError("weight range is empty")
-        if self.denominator not in ("filtered", "full"):
-            raise ValueError(f"denominator must be 'filtered' or 'full', got {self.denominator!r}")
 
     def directions(self) -> tuple[str, ...]:
         return DIRECTIONS if self.direction == "both" else (self.direction,)
@@ -598,8 +594,8 @@ def align_stage(
 ) -> None:
     """Align a parallel corpus with IBM-2 in both directions and write the
     grow-diag-final-and symmetrization of the links in source-target
-    orientation; with `out_counts`, also write the one-word-source phrase
-    pairs those links license."""
+    orientation; with `out_counts`, also write the counts of its one-to-one
+    links, the one-word phrase pairs that the dictionary reads."""
     if len(src) != len(tgt):
         raise ValueError(
             f"align: {src.source_path} has {len(src)} lines, {tgt.source_path} has {len(tgt)} lines"
@@ -611,14 +607,12 @@ def align_stage(
     link_sets = [grow_diag_final_and(a, {(j, i) for i, j in b}) for a, b in zip(forward, reverse)]
     write_links(link_sets, out)
     if out_counts:
-        write_extracted_counts(count_extractions(pairs, link_sets, config.max_phrase_len), out_counts)
+        write_extracted_counts(count_extractions(pairs, link_sets), out_counts)
 
 
-def dictionary_stage(
-    config: PipelineConfig, counts: ExtractedCounts, out: str | Path
-) -> InducedDictionary:
+def dictionary_stage(counts: ExtractedCounts, out: str | Path) -> InducedDictionary:
     """Build the ranked word dictionary from extraction counts and write it."""
-    dictionary = dictionary_from_counts(counts, config.denominator)
+    dictionary = dictionary_from_counts(counts)
     dictionary.write(out)
     return dictionary
 
@@ -699,7 +693,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 lambda src, tgt, *outs: align_stage(
                     config, _read_tokenized(src), _read_tokenized(tgt), *outs))
             run(f"dictionary:{direction}", [counts_path], [dict_path],
-                lambda counts, out: dictionary_stage(config, read_extracted_counts(counts), out))
+                lambda counts, out: dictionary_stage(read_extracted_counts(counts), out))
 
             gold_path = config.gold_src2tgt if direction == "src2tgt" else config.gold_tgt2src
             report_path = ddir / "report.txt" if gold_path else None

@@ -92,7 +92,6 @@ class TestAcceptance:
             and config.align_iterations == 5
             and config.align_tension == 1.0
             and config.align_null_prob == 0.08
-            and config.max_phrase_len == 3
         )
         report(1, passed, "full-scale defaults pinned; components verified at desk scale")
 

@@ -108,6 +108,17 @@ class TestInduce:
         induced = self.run_method(hub_files, "nn", "--top", "0")
         assert all(len(cands) == 2 for cands in induced.entries.values())
 
+    def test_negative_top_fails(self, hub_files, capsys):
+        out = hub_files / "o.tsv"
+        code = run_cli(["induce", "--method", "nn",
+                        "--src-emb", str(hub_files / "src.vec"),
+                        "--tgt-emb", str(hub_files / "tgt.vec"),
+                        "--queries", str(hub_files / "queries.txt"),
+                        "--out", str(out), "--top", "-3"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: top must be >= 1")
+        assert not out.exists()
+
     def test_missing_embedding_file_exits_1(self, hub_files, capsys):
         code = run_cli(["induce", "--method", "nn",
                         "--src-emb", str(hub_files / "absent.vec"),
@@ -435,15 +446,6 @@ class TestConfigChecks:
         assert "golden_iterations must be >= 1" in capsys.readouterr().err
         assert not weights.exists()
 
-    def test_dictionary_denominator_obeys_the_config_check(self, tmp_path, capsys):
-        counts, out = tmp_path / "counts.txt", tmp_path / "dict.tsv"
-        counts.write_text("a ||| x ||| 2\n", encoding="utf-8")
-        code = run_cli(["dictionary", "--counts", str(counts), "--out", str(out),
-                        "--denominator", "bogus"])
-        assert code == 1
-        assert "denominator must be 'filtered' or 'full'" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize(
         "flag, name, value", [("--tension", "align_tension", -2.0)]
     )
@@ -534,7 +536,6 @@ FLAGS = {
         ("--tgt", "tgt", None, True),
         ("--out", "out", None, True),
         ("--counts", "counts", None, False),
-        ("--max-phrase-len", "max_phrase_len", int, False),
         ("--iterations", "align_iterations", int, False),
         ("--tension", "align_tension", float, False),
         ("--null-prob", "align_null_prob", float, False),
@@ -543,7 +544,6 @@ FLAGS = {
         ("--config", "config", None, False),
         ("--counts", "counts", None, True),
         ("--out", "out", None, True),
-        ("--denominator", "denominator", str, False),
     ],
     "evaluate": [
         ("--config", "config", None, False),

@@ -1,6 +1,7 @@
 """Phrase extraction against a consistency oracle, and dictionary building."""
 
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -15,7 +16,6 @@ from lexinduct import (
     read_extracted_counts,
     write_extracted_counts,
 )
-from lexinduct.lexicon import _extract
 
 
 class TestExtractPhrasesByHand:
@@ -77,13 +77,13 @@ def oracle_extractions(src, tgt, links, max_len):
     return out
 
 
-def scanned_extractions(src, tgt, links, max_len, max_src):
+def scanned_extractions(src, tgt, links, max_len):
     """The extractions in order, each source span's links found by scanning
     every link and each target span checked against every link."""
     aligned = {t for _, t in links}
     out = []
     for i1 in range(len(src)):
-        for i2 in range(i1, min(i1 + max_src, len(src))):
+        for i2 in range(i1, min(i1 + max_len, len(src))):
             inside = [t for s, t in links if i1 <= s <= i2]
             if not inside:
                 continue
@@ -130,36 +130,58 @@ class TestExtractionOracle:
             links = {
                 (rng.randrange(m), rng.randrange(n)) for _ in range(rng.randint(0, 2 * (m + n)))
             }
-            for max_src in (1, max_len):
-                want = scanned_extractions(src, tgt, links, max_len, max_src)
-                assert _extract(src, tgt, links, max_len, max_src) == want
+            want = scanned_extractions(src, tgt, links, max_len)
             assert extract_phrases(src, tgt, links, max_len) == want
+
+
+def random_bitext(rng, size):
+    """Sentence pairs and link sets over a small vocabulary, so that pairs
+    recur across sentences."""
+    bitext, link_sets = [], []
+    for _ in range(size):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        bitext.append(([f"s{rng.randrange(4)}" for _ in range(m)],
+                       [f"t{rng.randrange(4)}" for _ in range(n)]))
+        link_sets.append(
+            {(rng.randrange(m), rng.randrange(n)) for _ in range(rng.randint(0, m + n))}
+        )
+    return bitext, link_sets
+
+
+def one_word(pairs):
+    return Counter({(s, t): c for (s, t), c in pairs.items() if len(s) == len(t) == 1})
 
 
 class TestCountExtractions:
     @pytest.mark.parametrize("max_len", [1, 2, 3])
     def test_one_word_sources_of_the_oracle(self, max_len):
+        # The one-word pairs of extraction at any phrase length bound are
+        # the one-to-one links.
         rng = random.Random(90 + max_len)
-        bitext, link_sets, every = [], [], Counter()
-        for _ in range(50):
-            m, n = rng.randint(1, 8), rng.randint(1, 8)
-            # A small vocabulary, so pairs recur across sentences.
-            src = [f"s{rng.randrange(4)}" for _ in range(m)]
-            tgt = [f"t{rng.randrange(4)}" for _ in range(n)]
-            links = {
-                (rng.randrange(m), rng.randrange(n)) for _ in range(rng.randint(0, m + n))
-            }
-            bitext.append((src, tgt))
-            link_sets.append(links)
-            every += oracle_extractions(src, tgt, links, max_len)
-        counts = count_extractions(bitext, link_sets, max_len)
-        one_word = Counter({(s, t): c for (s, t), c in every.items() if len(s) == 1})
-        assert counts.pairs == one_word
-        for denominator in ("filtered", "full"):
-            assert (
-                dictionary_from_counts(counts, denominator).entries
-                == dictionary_from_counts(ExtractedCounts(every), denominator).entries
+        bitext, link_sets = random_bitext(rng, 50)
+        extracted, oracle = Counter(), Counter()
+        for (src, tgt), links in zip(bitext, link_sets):
+            extracted += Counter(extract_phrases(src, tgt, links, max_len))
+            oracle += oracle_extractions(src, tgt, links, max_len)
+        counts = count_extractions(bitext, link_sets)
+        assert counts.pairs == one_word(extracted) == one_word(oracle)
+
+    def test_counts_with_multi_word_pairs_give_the_same_dictionary(self, tmp_path):
+        # Older versions also wrote pairs of multi-word phrases.
+        bitext, link_sets = random_bitext(random.Random(97), 80)
+        every = ExtractedCounts(Counter(
+            pair for (src, tgt), links in zip(bitext, link_sets)
+            for pair in extract_phrases(src, tgt, links)
+        ))
+        assert any(len(t) > 1 for _, t in every.pairs)
+        written = []
+        for name, counts in (("old", every), ("new", count_extractions(bitext, link_sets))):
+            write_extracted_counts(counts, tmp_path / f"{name}.counts")
+            dictionary_from_counts(read_extracted_counts(tmp_path / f"{name}.counts")).write(
+                tmp_path / f"{name}.tsv"
             )
+            written.append((tmp_path / f"{name}.tsv").read_bytes())
+        assert written[0] == written[1] != b""
 
     def test_out_of_range_link_fatal(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -200,6 +222,11 @@ class TestCountsIO:
         path.write_text("a ||| x ||| many\n", encoding="utf-8")
         with pytest.raises(ValueError):
             read_extracted_counts(path)
+        # A count below 1 would divide by zero or give a negative score.
+        for body, lineno in (("a ||| x ||| 0\n", 1), ("a ||| y ||| 2\na ||| x ||| -1\n", 2)):
+            path.write_text(body, encoding="utf-8")
+            with pytest.raises(ValueError, match=re.escape(f"{path}: line {lineno}: count must be >= 1")):
+                read_extracted_counts(path)
 
 
 class TestDictionaryFromCounts:
@@ -235,19 +262,6 @@ class TestDictionaryFromCounts:
         }))
         induced = dictionary_from_counts(counts)
         assert set(induced.entries) == {"dog"}
-
-    def test_denominator_modes(self):
-        counts = ExtractedCounts(Counter({
-            (("dog",), ("perro",)): 3,
-            (("dog",), ("can",)): 1,
-            (("dog",), ("perro", "grande")): 4,
-        }))
-        filtered = dictionary_from_counts(counts, denominator="filtered")
-        np.testing.assert_allclose(dict(filtered.entries["dog"])["perro"], 0.75, atol=1e-12)
-        full = dictionary_from_counts(counts, denominator="full")
-        np.testing.assert_allclose(dict(full.entries["dog"])["perro"], 3 / 8, atol=1e-12)
-        with pytest.raises(ValueError):
-            dictionary_from_counts(counts, denominator="bogus")
 
     def test_tie_breaks_by_count_then_token(self):
         counts = ExtractedCounts(Counter({

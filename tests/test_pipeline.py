@@ -36,7 +36,6 @@ class TestConfigFile:
             ngram_cap=123, candidates=9, lm_order=4, lm_discount=0.7,
             beam=11, distortion_limit=-1, options_limit=2, dev_size=17,
             sweeps=1, cyclic_weight=1.25, weight_hi=1.75, align_tension=3.5,
-            max_phrase_len=2, denominator="full",
         )
 
     # write_config(PipelineConfig()), written out: a key that moves to
@@ -51,8 +50,7 @@ class TestConfigFile:
         "[decoder]\nbeam = 50\ndistortion_limit = 6\noptions_limit = 0\ncorpus_cap = 10000000\n\n"
         "[tuner]\ndev_size = 2000\ndev_seed = 42\nsweeps = 3\ngolden_iterations = 6\n"
         "cyclic_weight = 1.0\nlm_weight = 0.1\nlength_weight = 0.5\nweight_lo = 0.0\nweight_hi = 2.0\n\n"
-        "[aligner]\niterations = 5\ntension = 1.0\nnull_prob = 0.08\n\n"
-        "[lexicon]\nmax_phrase_len = 3\ndenominator = filtered\n"
+        "[aligner]\niterations = 5\ntension = 1.0\nnull_prob = 0.08\n"
     )
 
     def test_default_file_layout(self, tmp_path):
@@ -76,9 +74,12 @@ class TestConfigFile:
 
     def test_unknown_section_fatal(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("[mystery]\nx = 1\n", encoding="utf-8")
-        with pytest.raises(ValueError):
-            read_config(path)
+        # [lexicon] held the extraction settings of older versions; the
+        # dictionary now counts one-to-one links, and the section is gone.
+        for body in ("[mystery]\nx = 1\n", "[lexicon]\nmax_phrase_len = 3\n"):
+            path.write_text(body, encoding="utf-8")
+            with pytest.raises(ValueError, match="unknown section"):
+                read_config(path)
 
     def test_unknown_key_fatal(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -114,8 +115,6 @@ class TestConfigValidation:
             {"lm_discount": 1.0},
             {"align_null_prob": 0.0},
             {"weight_lo": 2.0, "weight_hi": 2.0},
-            {"denominator": "bogus"},
-            {"max_phrase_len": 0},
         ],
     )
     def test_rejected(self, kw):
