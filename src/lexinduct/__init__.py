@@ -84,7 +84,7 @@ from .retrieval import (
     induce_dictionary,
     rank_candidates,
 )
-from .tuner import TunerConfig, TuningObjective, objective, sentence_bleu, tune
+from .tuner import TuningObjective, objective, sentence_bleu, tune
 
 __version__ = "0.1.0"
 
@@ -114,7 +114,6 @@ __all__ = [
     "TableInduction",
     "TemperatureParam",
     "TranslationSystem",
-    "TunerConfig",
     "TuningObjective",
     "align_corpus",
     "build_phrase_inventory",

@@ -3,12 +3,12 @@
 The `induce` retrieval route, one subcommand per pipeline stage, and the
 end-to-end `pipeline` driver. A stage subcommand calls the `*_stage`
 function that the pipeline runs, and nothing else; it only parses flags and
-picks the optional outputs. Every subcommand accepts --config; explicit
-flags override config values, which override the built-in defaults. A
-subcommand names the PipelineConfig fields it exposes, and `_add_settings`
-builds their flags from the fields, so flags pass the config's range
-checks. Exit code 0 on success, 1 on failure (pipeline failures name the
-failing stage).
+picks the optional outputs. The subcommands that read pipeline settings
+accept --config (`pipeline` requires it); explicit flags override config
+values, which override the built-in defaults. A subcommand names the
+PipelineConfig fields it exposes, and `_add_settings` builds their flags
+from the fields, so flags pass the config's range checks. Exit code 0 on
+success, 1 on failure (pipeline failures name the failing stage).
 """
 
 from __future__ import annotations
@@ -57,8 +57,6 @@ def _read_lines(path: str) -> list[str]:
 
 
 def _cmd_induce(args: argparse.Namespace) -> int:
-    # --config is accepted for interface uniformity; retrieval has no
-    # pipeline-config knobs.
     config = RetrievalConfig(
         method=args.method.replace("-", "_"),
         softmax_temperature=args.temperature,
@@ -159,9 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, handler, help_text: str, config: bool = False) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="pipeline config file supplying defaults")
+        if config:
+            p.add_argument("--config", help="pipeline config file supplying defaults")
         p.set_defaults(handler=handler)
         return p
 
@@ -171,11 +170,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tgt-emb", required=True, help="target embedding text file")
     p.add_argument("--queries", required=True, help="source words, one per line")
     p.add_argument("--out", required=True, help="output tsv (src, tgt, score)")
-    p.add_argument("--temperature", type=float, default=30.0, help="inverted-softmax temperature")
-    p.add_argument("--csls-k", type=int, default=10, help="csls neighborhood size")
+    p.add_argument("--temperature", type=float, default=RetrievalConfig.softmax_temperature,
+                   help="inverted-softmax temperature")
+    p.add_argument("--csls-k", type=int, default=RetrievalConfig.csls_k,
+                   help="csls neighborhood size")
     p.add_argument("--top", type=int, default=10, help="candidates kept per query (0 = all)")
 
-    p = add("phrase-table", _cmd_phrase_table, "induce both phrase tables from embeddings")
+    p = add("phrase-table", _cmd_phrase_table, "induce both phrase tables from embeddings",
+            config=True)
     p.add_argument("--src-corpus", required=True)
     p.add_argument("--tgt-corpus", required=True)
     p.add_argument("--src-emb", required=True)
@@ -185,12 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-tau", help="optional fitted-temperature report")
     _add_settings(p, "vocab_size", "ngram_cap", "candidates", "reverse_sample", "phrase_seed")
 
-    p = add("train-lm", _cmd_train_lm, "train the Kneser-Ney language model")
+    p = add("train-lm", _cmd_train_lm, "train the Kneser-Ney language model", config=True)
     p.add_argument("--input", required=True, help="training text, one sentence per line")
     p.add_argument("--out", required=True)
     _add_settings(p, "lm_order", "lm_discount")
 
-    p = add("tune", _cmd_tune, "tune decoder weights on a dev sample")
+    p = add("tune", _cmd_tune, "tune decoder weights on a dev sample", config=True)
     p.add_argument("--table", required=True, help="forward phrase table")
     p.add_argument("--rev-table", required=True, help="reverse phrase table")
     p.add_argument("--lm", required=True, help="target-language model")
@@ -201,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         p, "dev_size", "dev_seed", "sweeps", "golden_iterations", "beam", "distortion_limit", "options_limit"
     )
 
-    p = add("translate", _cmd_translate, "translate a corpus with the beam decoder")
+    p = add("translate", _cmd_translate, "translate a corpus with the beam decoder", config=True)
     p.add_argument("--table", required=True)
     p.add_argument("--lm", required=True)
     p.add_argument("--weights", help="weights file (defaults when omitted)")
@@ -210,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-src", help="also write the source sentences that were translated")
     _add_settings(p, "corpus_cap", "beam", "distortion_limit", "options_limit", "workers")
 
-    p = add("align", _cmd_align, "IBM-2 word alignment, symmetrization and one-to-one link counts")
+    p = add("align", _cmd_align, "IBM-2 word alignment, symmetrization and one-to-one link counts",
+            config=True)
     p.add_argument("--src", required=True, help="source side of the parallel corpus")
     p.add_argument("--tgt", required=True, help="target side of the parallel corpus")
     p.add_argument("--out", required=True, help="symmetrized links output")
@@ -226,15 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", required=True, help="gold pairs, 'src tgt' per line")
 
     p = add("pipeline", _cmd_pipeline, "run the full cached pipeline from a config file")
+    p.add_argument("--config", required=True, help="pipeline config file")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "pipeline" and not args.config:
-        parser.error("pipeline requires --config")
+    args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",

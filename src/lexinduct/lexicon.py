@@ -62,9 +62,11 @@ class InducedDictionary:
                 parts = line.rstrip("\n").split("\t")
                 if len(parts) != 3:
                     raise ValueError(f"{path}: line {lineno}: expected src<TAB>tgt<TAB>score")
+                if not parts[0] or not parts[1]:
+                    raise ValueError(f"{path}: line {lineno}: empty source or target word")
                 score = parse_number(float, parts[2], path, lineno)
                 entries.setdefault(parts[0], []).append((parts[1], score))
-        return cls({s: tuple(c) for s, c in entries.items()})
+        return cls(entries)
 
 
 def extract_phrases(
@@ -179,10 +181,13 @@ def read_extracted_counts(path: str | Path) -> ExtractedCounts:
             parts = line.rstrip("\n").split(" ||| ")
             if len(parts) != 3:
                 raise ValueError(f"{path}: line {lineno}: expected 3 '|||' fields")
+            src, tgt = tuple(parts[0].split(" ")), tuple(parts[1].split(" "))
+            if "" in src or "" in tgt:
+                raise ValueError(f"{path}: line {lineno}: empty source or target word")
             c = parse_number(int, parts[2], path, lineno)
             if c < 1:
                 raise ValueError(f"{path}: line {lineno}: count must be >= 1, got {c}")
-            counts.pairs[(tuple(parts[0].split(" ")), tuple(parts[1].split(" ")))] += c
+            counts.pairs[(src, tgt)] += c
     return counts
 
 

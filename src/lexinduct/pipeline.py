@@ -87,7 +87,7 @@ from .phrases import (
     induce_tables,
     word_store,
 )
-from .tuner import TunerConfig, tune
+from .tuner import DEFAULT_GOLDEN_ITERATIONS, DEFAULT_SWEEPS, tune
 
 log = logging.getLogger(__name__)
 
@@ -117,10 +117,7 @@ STAGE_PARAMS: dict[str, tuple[str, ...]] = {
     "phrases": (),
     "lm": ("lm_order", "lm_discount"),
     "tables": ("candidates", "reverse_sample", "phrase_seed"),
-    "tune": _DECODER_PARAMS + (
-        "dev_size", "dev_seed", "sweeps", "golden_iterations", "cyclic_weight",
-        "lm_weight", "length_weight", "weight_lo", "weight_hi",
-    ),
+    "tune": _DECODER_PARAMS + ("dev_size", "dev_seed", "sweeps", "golden_iterations"),
     "translate": _DECODER_PARAMS + ("corpus_cap",),
     "align": ("align_iterations", "align_tension", "align_null_prob"),
     "dictionary": (),
@@ -138,9 +135,6 @@ def _setting(section: str, default, key: str | None = None, flag: str | None = N
     `--flag` (the key, with dashes, unless given); the type of `default` is
     its kind."""
     return field(default=default, metadata={"section": section, "key": key, "flag": flag})
-
-
-_TUNER = TunerConfig()
 
 
 @dataclass(frozen=True)
@@ -174,13 +168,8 @@ class PipelineConfig:
     corpus_cap: int = _setting("decoder", DEFAULT_CORPUS_CAP, flag="cap")
     dev_size: int = _setting("tuner", 2000)
     dev_seed: int = _setting("tuner", 42, flag="seed")
-    sweeps: int = _setting("tuner", _TUNER.sweeps)
-    golden_iterations: int = _setting("tuner", _TUNER.golden_iterations)
-    cyclic_weight: float = _setting("tuner", _TUNER.cyclic_weight)
-    lm_weight: float = _setting("tuner", _TUNER.lm_weight)
-    length_weight: float = _setting("tuner", _TUNER.length_weight)
-    weight_lo: float = _setting("tuner", _TUNER.weight_lo)
-    weight_hi: float = _setting("tuner", _TUNER.weight_hi)
+    sweeps: int = _setting("tuner", DEFAULT_SWEEPS)
+    golden_iterations: int = _setting("tuner", DEFAULT_GOLDEN_ITERATIONS)
     align_iterations: int = _setting("aligner", DEFAULT_ITERATIONS, key="iterations")
     align_tension: float = _setting("aligner", DEFAULT_TENSION, key="tension")
     align_null_prob: float = _setting("aligner", DEFAULT_NULL_PROB, key="null_prob")
@@ -206,8 +195,6 @@ class PipelineConfig:
             raise ValueError(f"lm_discount must lie in (0, 1), got {self.lm_discount}")
         if not (0.0 < self.align_null_prob < 1.0):
             raise ValueError(f"align_null_prob must lie in (0, 1), got {self.align_null_prob}")
-        if not self.weight_lo < self.weight_hi:
-            raise ValueError("weight range is empty")
 
     def directions(self) -> tuple[str, ...]:
         return DIRECTIONS if self.direction == "both" else (self.direction,)
@@ -557,10 +544,8 @@ def tune_stage(
     forward = _system(config, table, lm, FeatureWeights())
     backward = _system(config, opposite_table, opposite_lm, FeatureWeights())
     dev = sample_sentences(corpus, config.dev_size, config.dev_seed)
-    tuner_config = TunerConfig(
-        **{f.name: getattr(config, f.name) for f in fields(TunerConfig)}
-    )
-    tune(FeatureWeights(), list(dev.sentences), forward, backward, tuner_config).write(out)
+    tune(FeatureWeights(), list(dev.sentences), forward, backward,
+         config.sweeps, config.golden_iterations).write(out)
 
 
 def translate_stage(

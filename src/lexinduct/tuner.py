@@ -6,8 +6,9 @@ the round-trip translation against the original), a fluency loss (mean
 per-token negative log probability of the forward output under the target
 language model, end symbol counted), and a length loss (mean absolute log
 ratio of output to input length, lengths floored at 0.5 so empty outputs
-stay finite). Weights are tuned coordinate-wise by golden-section search,
-keeping a new value only when it strictly improves the combined objective.
+stay finite), mixed with fixed weights as in unsupervised SMT. Weights
+are tuned coordinate-wise by golden-section search, keeping a new value
+only when it strictly improves the combined objective.
 """
 
 from __future__ import annotations
@@ -21,21 +22,15 @@ from .decoder import FEATURE_NAMES, FeatureWeights, TranslationSystem
 from .phrases import golden_min
 
 
-@dataclass(frozen=True)
-class TunerConfig:
-    cyclic_weight: float = 1.0
-    lm_weight: float = 0.1
-    length_weight: float = 0.5
-    sweeps: int = 3
-    golden_iterations: int = 6
-    weight_lo: float = 0.0
-    weight_hi: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.sweeps < 0:
-            raise ValueError("sweeps must be >= 0")
-        if not self.weight_lo < self.weight_hi:
-            raise ValueError("weight range is empty")
+# The mix of the three losses in the combined objective.
+CYCLIC_WEIGHT = 1.0
+LM_WEIGHT = 0.1
+LENGTH_WEIGHT = 0.5
+# The range that golden-section search explores for every decoder weight.
+WEIGHT_LO = 0.0
+WEIGHT_HI = 2.0
+DEFAULT_SWEEPS = 3
+DEFAULT_GOLDEN_ITERATIONS = 6
 
 
 @dataclass(frozen=True)
@@ -71,7 +66,6 @@ def objective(
     dev: Sequence[Sequence[str]],
     forward: TranslationSystem,
     backward: TranslationSystem,
-    config: TunerConfig = TunerConfig(),
 ) -> TuningObjective:
     """Evaluate the candidate weights on the dev sample.
 
@@ -92,11 +86,7 @@ def objective(
     cyclic /= n
     lm_loss /= n
     length /= n
-    combined = (
-        config.cyclic_weight * cyclic
-        + config.lm_weight * lm_loss
-        + config.length_weight * length
-    )
+    combined = CYCLIC_WEIGHT * cyclic + LM_WEIGHT * lm_loss + LENGTH_WEIGHT * length
     return TuningObjective(cyclic, lm_loss, length, combined)
 
 
@@ -105,32 +95,36 @@ def tune(
     dev: Sequence[Sequence[str]],
     forward: TranslationSystem,
     backward: TranslationSystem,
-    config: TunerConfig = TunerConfig(),
+    sweeps: int = DEFAULT_SWEEPS,
+    golden_iterations: int = DEFAULT_GOLDEN_ITERATIONS,
 ) -> FeatureWeights:
-    """Coordinate-wise golden-section tuning over [weight_lo, weight_hi].
+    """Coordinate-wise golden-section tuning over [WEIGHT_LO, WEIGHT_HI].
 
-    Each weight is searched in turn for `sweeps` full passes; a candidate
-    value is accepted only when it strictly lowers the combined objective,
-    so the result is never worse than `initial` on the dev sample.
+    Each weight is searched in turn for `sweeps` full passes of
+    `golden_iterations` steps each; a candidate value is accepted only when
+    it strictly lowers the combined objective, so the result is never worse
+    than `initial` on the dev sample. At `sweeps = 0` nothing is decoded.
     """
+    if sweeps < 0:
+        raise ValueError(f"sweeps must be >= 0, got {sweeps}")
+    if sweeps == 0:
+        return initial
     dev = [tuple(s) for s in dev]
     cache: dict[tuple, float] = {}
 
     def combined(weights: FeatureWeights) -> float:
         key = tuple(weights.as_array())
         if key not in cache:
-            cache[key] = objective(weights, dev, forward, backward, config).combined
+            cache[key] = objective(weights, dev, forward, backward).combined
         return cache[key]
 
     current = initial
     best = combined(current)
-    for _ in range(config.sweeps):
+    for _ in range(sweeps):
         for name in FEATURE_NAMES:
             _, (x, fx) = golden_min(
                 lambda v: combined(current.replace(name, v)),
-                config.weight_lo,
-                config.weight_hi,
-                config.golden_iterations,
+                WEIGHT_LO, WEIGHT_HI, golden_iterations,
             )
             if fx < best:
                 current = current.replace(name, x)

@@ -26,7 +26,6 @@ from lexinduct import (
     PipelineConfig,
     RetrievalConfig,
     TranslationSystem,
-    TunerConfig,
     align_corpus,
     decode,
     extract_phrases,
@@ -47,7 +46,9 @@ from lexinduct import (
 from lexinduct.corpus import Corpus
 from lexinduct.embeddings import ScoredCandidates
 from lexinduct.retrieval import METHODS
-from lexinduct.tuner import objective
+from lexinduct.tuner import (
+    CYCLIC_WEIGHT, LENGTH_WEIGHT, LM_WEIGHT, WEIGHT_HI, WEIGHT_LO, objective,
+)
 from oracles import estimate_temperature, feature_score, next_word_distribution, single_word_table
 
 
@@ -88,7 +89,8 @@ class TestAcceptance:
             and config.dev_size == 2000
             and config.corpus_cap == 10_000_000
             and config.sweeps == 3
-            and (config.weight_lo, config.weight_hi) == (0.0, 2.0)
+            and (WEIGHT_LO, WEIGHT_HI) == (0.0, 2.0)
+            and (CYCLIC_WEIGHT, LM_WEIGHT, LENGTH_WEIGHT) == (1.0, 0.1, 0.5)
             and config.align_iterations == 5
             and config.align_tension == 1.0
             and config.align_null_prob == 0.08
@@ -369,16 +371,10 @@ class TestAcceptance:
         dev = sample_sentences(
             Corpus(sentences, "dev"), config.dev_size, config.dev_seed
         )
-        tuner_config = TunerConfig(
-            cyclic_weight=config.cyclic_weight, lm_weight=config.lm_weight,
-            length_weight=config.length_weight, sweeps=config.sweeps,
-            golden_iterations=config.golden_iterations,
-            weight_lo=config.weight_lo, weight_hi=config.weight_hi,
-        )
         tuned_weights = FeatureWeights.read(work / "src2tgt" / "weights.txt")
         dev_sentences = list(dev.sentences)
-        obj_tuned = objective(tuned_weights, dev_sentences, forward, backward, tuner_config)
-        obj_default = objective(FeatureWeights(), dev_sentences, forward, backward, tuner_config)
+        obj_tuned = objective(tuned_weights, dev_sentences, forward, backward)
+        obj_default = objective(FeatureWeights(), dev_sentences, forward, backward)
 
         passed = obj_tuned.combined <= obj_default.combined and p_tuned >= p_untuned - 0.01
         report(

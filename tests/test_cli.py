@@ -188,6 +188,17 @@ class TestEvaluate:
         assert capsys.readouterr().err.startswith("error:")
 
 
+class TestDictionary:
+    def test_empty_source_in_counts_exits_1(self, tmp_path, capsys):
+        counts = tmp_path / "counts.txt"
+        counts.write_text(" ||| x ||| 3\na ||| x ||| 1\n", encoding="utf-8")
+        out = tmp_path / "dict.tsv"
+        code = run_cli(["dictionary", "--counts", str(counts), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {counts}: line 1: empty source")
+        assert not out.exists()
+
+
 class TestAlign:
     def copy_corpus(self, tmp_path, lines=30):
         text = "\n".join("w%d w%d w%d" % (i % 7, (i + 2) % 7, (i + 5) % 7)
@@ -388,7 +399,9 @@ class TestPipelineParity:
         out.mkdir()
 
         def cli(*argv):
-            assert run_cli([argv[0], "--config", str(cfg), *argv[1:]]) == 0
+            # `dictionary` and `evaluate` read no pipeline settings.
+            config = [] if argv[0] in ("dictionary", "evaluate") else ["--config", str(cfg)]
+            assert run_cli([argv[0], *config, *argv[1:]]) == 0
 
         cli("phrase-table", "--src-corpus", str(fx.src_corpus), "--tgt-corpus", str(fx.tgt_corpus),
             "--src-emb", str(fx.src_embeddings), "--tgt-emb", str(fx.tgt_embeddings),
@@ -468,7 +481,6 @@ class TestConfigChecks:
 # whose key, flag name or type changes shows here.
 FLAGS = {
     "induce": [
-        ("--config", "config", None, False),
         ("--method", "method", None, True),
         ("--src-emb", "src_emb", None, True),
         ("--tgt-emb", "tgt_emb", None, True),
@@ -541,17 +553,15 @@ FLAGS = {
         ("--null-prob", "align_null_prob", float, False),
     ],
     "dictionary": [
-        ("--config", "config", None, False),
         ("--counts", "counts", None, True),
         ("--out", "out", None, True),
     ],
     "evaluate": [
-        ("--config", "config", None, False),
         ("--pred", "pred", None, True),
         ("--gold", "gold", None, True),
     ],
     "pipeline": [
-        ("--config", "config", None, False),
+        ("--config", "config", None, True),
     ],
 }
 

@@ -228,6 +228,17 @@ class TestCountsIO:
             with pytest.raises(ValueError, match=re.escape(f"{path}: line {lineno}: count must be >= 1")):
                 read_extracted_counts(path)
 
+    def test_empty_phrase_fatal(self, tmp_path):
+        # An empty source would become a dictionary entry for '' and take a
+        # share of the target marginal that no real word has.
+        path = tmp_path / "counts.txt"
+        for body in (" ||| x ||| 3\na ||| x ||| 1\n", "a ||| x ||| 1\nb |||  ||| 2\n",
+                     "a ||| x ||| 1\nb  c ||| y ||| 2\n"):
+            path.write_text(body, encoding="utf-8")
+            lineno = 1 if body.startswith(" ") else 2
+            with pytest.raises(ValueError, match=re.escape(f"{path}: line {lineno}: empty source")):
+                read_extracted_counts(path)
+
 
 class TestDictionaryFromCounts:
     def test_probability_ranking(self):
@@ -296,6 +307,14 @@ class TestInducedDictionary:
         path.write_text("a x\n", encoding="utf-8")
         with pytest.raises(ValueError):
             InducedDictionary.read(path)
+
+    def test_read_rejects_empty_words(self, tmp_path):
+        path = tmp_path / "dict.tsv"
+        for body in ("\tx\t0.75\n", "a\tx\t0.5\nb\t\t0.5\n"):
+            path.write_text(body, encoding="utf-8")
+            lineno = body.count("\n")
+            with pytest.raises(ValueError, match=re.escape(f"{path}: line {lineno}: empty source")):
+                InducedDictionary.read(path)
 
     def test_non_numeric_score_names_file_and_line(self, tmp_path):
         path = tmp_path / "dict.tsv"

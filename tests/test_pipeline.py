@@ -22,7 +22,6 @@ from lexinduct import (
     write_config,
 )
 from lexinduct.pipeline import LOCK_NAME, STAGE_PARAMS, STAGE_VERSIONS, WORK_DIR_ENV, _WorkDirLock
-from lexinduct.tuner import TunerConfig
 
 
 
@@ -35,7 +34,7 @@ class TestConfigFile:
             direction="both", workers=3, lowercase=False, vocab_size=77,
             ngram_cap=123, candidates=9, lm_order=4, lm_discount=0.7,
             beam=11, distortion_limit=-1, options_limit=2, dev_size=17,
-            sweeps=1, cyclic_weight=1.25, weight_hi=1.75, align_tension=3.5,
+            sweeps=1, golden_iterations=4, align_tension=3.5,
         )
 
     # write_config(PipelineConfig()), written out: a key that moves to
@@ -48,8 +47,7 @@ class TestConfigFile:
         "[phrases]\nngram_cap = 400000\ncandidates = 100\nreverse_sample = 10000\nseed = 13\n\n"
         "[lm]\norder = 5\ndiscount = 0.75\n\n"
         "[decoder]\nbeam = 50\ndistortion_limit = 6\noptions_limit = 0\ncorpus_cap = 10000000\n\n"
-        "[tuner]\ndev_size = 2000\ndev_seed = 42\nsweeps = 3\ngolden_iterations = 6\n"
-        "cyclic_weight = 1.0\nlm_weight = 0.1\nlength_weight = 0.5\nweight_lo = 0.0\nweight_hi = 2.0\n\n"
+        "[tuner]\ndev_size = 2000\ndev_seed = 42\nsweeps = 3\ngolden_iterations = 6\n\n"
         "[aligner]\niterations = 5\ntension = 1.0\nnull_prob = 0.08\n"
     )
 
@@ -83,9 +81,12 @@ class TestConfigFile:
 
     def test_unknown_key_fatal(self, tmp_path):
         path = tmp_path / "run.cfg"
-        # grad_steps set the tension's gradient steps in older versions; the
-        # tension is now fixed, and the key is unknown like any other.
-        for body in ("[lm]\nbogus = 1\n", "[aligner]\ngrad_steps = 8\n"):
+        # grad_steps set the tension's gradient steps in older versions, and
+        # the [tuner] weights set the tuning objective's mix and range; the
+        # tension and the objective are now fixed, and the keys are unknown
+        # like any other.
+        for body in ("[lm]\nbogus = 1\n", "[aligner]\ngrad_steps = 8\n",
+                     "[tuner]\nlm_weight = 0.1\n", "[tuner]\nweight_hi = 2.0\n"):
             path.write_text(body, encoding="utf-8")
             with pytest.raises(ValueError, match="unknown key"):
                 read_config(path)
@@ -114,7 +115,6 @@ class TestConfigValidation:
             {"distortion_limit": -2},
             {"lm_discount": 1.0},
             {"align_null_prob": 0.0},
-            {"weight_lo": 2.0, "weight_hi": 2.0},
         ],
     )
     def test_rejected(self, kw):
@@ -146,9 +146,6 @@ class TestStageDigests:
 
     def test_every_other_field_is_in_a_digest(self):
         assert self.FIELDS - self.UNHASHED - self.HASHED == set()
-
-    def test_tuner_fields_are_in_the_tune_digest(self):
-        assert {f.name for f in dataclasses.fields(TunerConfig)} <= set(STAGE_PARAMS["tune"])
 
 
 LANG_STAGES = [f"{s}:{l}" for l in ("src", "tgt") for s in ("corpus", "inventory", "phrases", "lm")]
@@ -389,7 +386,8 @@ class TestLocking:
 
 class TestTracerContract:
     """`perfbench/tracing.py` wraps the pipeline's public functions by name;
-    a traced micro run must still work and record the tail's spans."""
+    a traced, tuned micro run must still work and record the spans that
+    `perfbench/rep.py` reads."""
 
     SCRIPT = (
         "import json, sys\n"
@@ -404,7 +402,7 @@ class TestTracerContract:
     def test_traced_pipeline_records_the_tail(self, tmp_path):
         fx = micro(tmp_path / "data")
         cfg = tmp_path / "run.cfg"
-        write_config(micro_config(fx, tmp_path / "work"), cfg)
+        write_config(micro_config(fx, tmp_path / "work", sweeps=1, golden_iterations=1), cfg)
         root = Path(__file__).resolve().parent.parent
         path = [str(root / "perfbench"), str(root / "src"), os.environ.get("PYTHONPATH", "")]
         proc = subprocess.run(
@@ -413,7 +411,10 @@ class TestTracerContract:
         )
         assert proc.returncode == 0, proc.stderr
         spans = set(json.loads(proc.stdout))
-        # perfbench/rep.py reads `aligner.viterbi_s` from `align_corpus`.
-        assert {"aligner.train_ibm2", "aligner.align_corpus", "aligner.grow_diag_final_and",
+        # perfbench/rep.py reads `aligner.viterbi_s` from `align_corpus`,
+        # `tuner.objective_evals` from the objective's spans and
+        # `decoder.translate_cache_hit_ratio` from those of `translate`.
+        assert {"tuner.tune", "tuner.objective", "decoder.TranslationSystem.translate",
+                "aligner.train_ibm2", "aligner.align_corpus", "aligner.grow_diag_final_and",
                 "lexicon.count_extractions", "lexicon.write_extracted_counts",
                 "lexicon.read_extracted_counts"} <= spans

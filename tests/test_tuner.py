@@ -9,13 +9,14 @@ from lexinduct import (
     FeatureWeights,
     PhraseTableEntry,
     TranslationSystem,
-    TunerConfig,
     objective,
     sentence_bleu,
     train_lm,
     tune,
 )
+from lexinduct import tuner
 from lexinduct.phrases import GOLDEN, golden_min
+from lexinduct.tuner import CYCLIC_WEIGHT, LENGTH_WEIGHT, LM_WEIGHT
 from oracles import table_of
 
 
@@ -69,22 +70,19 @@ class TestObjective:
         assert result.lm > 0.0
 
     def test_combined_is_weighted_sum(self):
-        words = ("a", "b")
-        forward = identity_system(words)
-        backward = identity_system(words)
-        config = TunerConfig(cyclic_weight=2.0, lm_weight=0.25, length_weight=0.75)
-        result = objective(FeatureWeights(), [["a"], ["b", "a"]], forward, backward, config)
-        want = 2.0 * result.cyclic + 0.25 * result.lm + 0.75 * result.length
+        # The mix is fixed: cyclic 1.0, fluency 0.1, length 0.5.
+        assert (CYCLIC_WEIGHT, LM_WEIGHT, LENGTH_WEIGHT) == (1.0, 0.1, 0.5)
+        forward = identity_system(("a", "b"))
+        # The way back swaps the two words, so the round trip loses.
+        table = table_of({
+            "a": (PhraseTableEntry("a", "b", 1.0, 1.0, 1.0, 1.0),),
+            "b": (PhraseTableEntry("b", "a", 1.0, 1.0, 1.0, 1.0),),
+        })
+        backward = TranslationSystem(table, train_lm([["a", "b"]] * 2, order=2), distortion_limit=0)
+        result = objective(FeatureWeights(), [["a"], ["b", "a"]], forward, backward)
+        assert result.cyclic > 0.0 and result.lm > 0.0
+        want = 1.0 * result.cyclic + 0.1 * result.lm + 0.5 * result.length
         np.testing.assert_allclose(result.combined, want, atol=1e-12)
-
-    def test_mixture_weight_scaling(self):
-        words = ("a", "b")
-        forward = identity_system(words)
-        backward = identity_system(words)
-        dev = [["a", "b"]]
-        one = objective(FeatureWeights(), dev, forward, backward, TunerConfig(lm_weight=0.1))
-        two = objective(FeatureWeights(), dev, forward, backward, TunerConfig(lm_weight=0.2))
-        np.testing.assert_allclose(two.combined - one.combined, 0.1 * one.lm, atol=1e-12)
 
     def test_empty_dev_fatal(self):
         forward = identity_system(("a",))
@@ -152,37 +150,44 @@ ZERO_TM = FeatureWeights(phi_fwd=0.0, phi_bwd=0.0, lex_fwd=0.0, lex_bwd=0.0,
 class TestTune:
     def test_never_worse_than_initial(self):
         forward, backward, dev = misleading_fixture()
-        config = TunerConfig(sweeps=1, golden_iterations=4)
         for initial in (FeatureWeights(), ZERO_TM):
-            tuned = tune(initial, dev, forward, backward, config)
-            before = objective(initial, dev, forward, backward, config).combined
-            after = objective(tuned, dev, forward, backward, config).combined
+            tuned = tune(initial, dev, forward, backward, sweeps=1, golden_iterations=4)
+            before = objective(initial, dev, forward, backward).combined
+            after = objective(tuned, dev, forward, backward).combined
             assert after <= before + 1e-12
 
     def test_strict_improvement_when_initial_is_misleading(self):
         forward, backward, dev = misleading_fixture()
-        config = TunerConfig(sweeps=1, golden_iterations=5)
-        tuned = tune(ZERO_TM, dev, forward, backward, config)
-        before = objective(ZERO_TM, dev, forward, backward, config)
-        after = objective(tuned, dev, forward, backward, config)
+        tuned = tune(ZERO_TM, dev, forward, backward, sweeps=1, golden_iterations=5)
+        before = objective(ZERO_TM, dev, forward, backward)
+        after = objective(tuned, dev, forward, backward)
         assert after.combined < before.combined
         np.testing.assert_allclose(after.cyclic, 0.0, atol=1e-12)
 
     def test_deterministic(self):
-        config = TunerConfig(sweeps=2, golden_iterations=4)
         results = []
         for _ in range(2):
             forward, backward, dev = misleading_fixture()
-            results.append(tune(ZERO_TM, dev, forward, backward, config))
+            results.append(tune(ZERO_TM, dev, forward, backward, sweeps=2, golden_iterations=4))
         assert results[0] == results[1]
 
-    def test_zero_sweeps_returns_initial(self):
-        forward, backward, dev = misleading_fixture()
-        tuned = tune(ZERO_TM, dev, forward, backward, TunerConfig(sweeps=0))
+    def test_zero_sweeps_returns_initial(self, monkeypatch):
+        # Nothing is evaluated or decoded: the result is known beforehand.
+        class Undecodable:
+            def with_weights(self, weights):
+                raise AssertionError("decoded at sweeps = 0")
+
+            translate = with_weights
+
+        def no_objective(*args):
+            raise AssertionError("objective evaluated at sweeps = 0")
+
+        monkeypatch.setattr(tuner, "objective", no_objective)
+        _, _, dev = misleading_fixture()
+        tuned = tune(ZERO_TM, dev, Undecodable(), Undecodable(), sweeps=0)
         assert tuned == ZERO_TM
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TunerConfig(sweeps=-1)
-        with pytest.raises(ValueError):
-            TunerConfig(weight_lo=1.0, weight_hi=1.0)
+        forward, backward, dev = misleading_fixture()
+        with pytest.raises(ValueError, match="sweeps must be >= 0"):
+            tune(ZERO_TM, dev, forward, backward, sweeps=-1)
