@@ -19,7 +19,6 @@ from .aligner import (
 )
 from .corpus import (
     Corpus,
-    NGramCounts,
     build_vocabulary,
     count_ngrams,
     load_corpus,
@@ -58,7 +57,6 @@ from .lexicon import (
 )
 from .lm import NGramModel, load_lm, perplexity, save_lm, train_lm
 from .phrases import (
-    PhraseInventory,
     PhraseTable,
     PhraseTableEntry,
     TableInduction,
@@ -101,9 +99,7 @@ __all__ = [
     "GoldDictionary",
     "InducedDictionary",
     "METHODS",
-    "NGramCounts",
     "NGramModel",
-    "PhraseInventory",
     "PhraseTable",
     "PhraseTableEntry",
     "PipelineConfig",

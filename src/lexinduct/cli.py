@@ -25,7 +25,6 @@ from .pipeline import (
     align_stage,
     dictionary_stage,
     evaluate_stage,
-    inventory_stage,
     lm_stage,
     phrases_stage,
     read_config,
@@ -75,7 +74,7 @@ def _cmd_induce(args: argparse.Namespace) -> int:
 def _cmd_phrase_table(args: argparse.Namespace) -> int:
     config = _config(args)
     stores = [
-        phrases_stage(inventory_stage(config, tokenized(config, corpus)), embeddings)
+        phrases_stage(config, tokenized(config, corpus), embeddings)
         for corpus, embeddings in ((args.src_corpus, args.src_emb), (args.tgt_corpus, args.tgt_emb))
     ]
     induced = tables_stage(config, *stores, args.out_fwd, args.out_rev, args.out_tau)

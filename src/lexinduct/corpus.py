@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -106,43 +106,30 @@ def write_corpus(sentences: Iterable[Sequence[str]], path: str | Path) -> None:
             fh.write(" ".join(sentence) + "\n")
 
 
-@dataclass
-class NGramCounts:
-    """Occurrence counts for n-grams of one fixed order."""
-
-    order: int
-    counts: Counter[NGram] = field(default_factory=Counter)
-
-    def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
-
-
-def count_ngrams(corpus: Corpus | Iterable[Sequence[str]], max_n: int) -> dict[int, NGramCounts]:
-    """Count n-grams for every order 1..max_n.
+def count_ngrams(corpus: Corpus | Iterable[Sequence[str]], max_n: int) -> dict[int, Counter[NGram]]:
+    """Count n-grams for every order 1..max_n, keyed by order.
 
     Windows never cross sentence boundaries and no padding symbols are added;
     a sentence shorter than n contributes no n-grams at that order.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    by_order = {n: NGramCounts(n) for n in range(1, max_n + 1)}
+    by_order: dict[int, Counter[NGram]] = {n: Counter() for n in range(1, max_n + 1)}
     for sent in corpus:
         length = len(sent)
         for n in range(1, max_n + 1):
-            counts = by_order[n].counts
+            counts = by_order[n]
             for i in range(length - n + 1):
                 counts[tuple(sent[i : i + n])] += 1
     return by_order
 
 
-def build_vocabulary(unigrams: NGramCounts, size: int) -> list[str]:
-    """The `size` most frequent tokens, ties broken lexicographically."""
+def build_vocabulary(unigrams: Counter[NGram], size: int) -> list[str]:
+    """The `size` most frequent tokens of the unigram counts, ties broken
+    lexicographically."""
     if size < 1:
         raise ValueError(f"vocabulary size must be >= 1, got {size}")
-    if unigrams.order != 1:
-        raise ValueError("vocabulary is built from unigram counts")
-    ranked = sorted(unigrams.counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    ranked = sorted(unigrams.items(), key=lambda kv: (-kv[1], kv[0]))
     return [gram[0] for gram, _ in ranked[:size]]
 
 

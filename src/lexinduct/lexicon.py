@@ -64,6 +64,8 @@ class InducedDictionary:
                     raise ValueError(f"{path}: line {lineno}: expected src<TAB>tgt<TAB>score")
                 if not parts[0] or not parts[1]:
                     raise ValueError(f"{path}: line {lineno}: empty source or target word")
+                if " " in parts[0] or " " in parts[1]:
+                    raise ValueError(f"{path}: line {lineno}: space in source or target word")
                 score = parse_number(float, parts[2], path, lineno)
                 entries.setdefault(parts[0], []).append((parts[1], score))
         return cls(entries)

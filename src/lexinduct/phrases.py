@@ -31,6 +31,7 @@ import logging
 import math
 import random
 from array import array
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import NGramCounts, build_vocabulary
+from .corpus import build_vocabulary
 from .embeddings import EmbeddingStore, Neighbors, k_nearest, unit_normalize
 from .fileio import atomic_write
 
@@ -70,22 +71,13 @@ class TemperatureParam:
             raise ValueError(f"temperature must be positive, got {self.tau}")
 
 
-@dataclass
-class PhraseInventory:
-    """Phrases (token tuples) with their corpus frequencies."""
-
-    phrases: dict[Phrase, int]
-
-    def __len__(self) -> int:
-        return len(self.phrases)
-
-
 def build_phrase_inventory(
-    counts: dict[int, NGramCounts],
+    counts: dict[int, Counter[Phrase]],
     vocab_size: int = DEFAULT_VOCAB_SIZE,
     ngram_cap: int = DEFAULT_NGRAM_CAP,
-) -> PhraseInventory:
-    """Select the phrase inventory from n-gram counts of orders 1..3.
+) -> dict[Phrase, int]:
+    """Select the phrase inventory, each phrase with its corpus frequency,
+    from n-gram counts of orders 1..3.
 
     Every word of the truncated vocabulary is a phrase; bigrams and trigrams
     are kept up to `ngram_cap` each, most frequent first, ties broken by
@@ -96,19 +88,19 @@ def build_phrase_inventory(
             raise ValueError(f"missing n-gram counts for order {order}")
     phrases: dict[Phrase, int] = {}
     for word in build_vocabulary(counts[1], vocab_size):
-        phrases[(word,)] = counts[1].counts[(word,)]
+        phrases[(word,)] = counts[1][(word,)]
     for order in (2, 3):
-        ranked = sorted(counts[order].counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        ranked = sorted(counts[order].items(), key=lambda kv: (-kv[1], kv[0]))
         for gram, freq in ranked[:ngram_cap]:
             phrases[gram] = freq
-    return PhraseInventory(phrases)
+    return phrases
 
 
 def phrase_key(phrase: Phrase) -> str:
     return " ".join(phrase)
 
 
-def build_phrase_store(inventory: PhraseInventory, words: EmbeddingStore) -> EmbeddingStore:
+def build_phrase_store(inventory: dict[Phrase, int], words: EmbeddingStore) -> EmbeddingStore:
     """Embed every inventory phrase whose words all have embeddings.
 
     Phrases with out-of-vocabulary words (or a zero centroid, which cannot
@@ -119,7 +111,7 @@ def build_phrase_store(inventory: PhraseInventory, words: EmbeddingStore) -> Emb
         words = unit_normalize(words)
     kept: list[Phrase] = []
     skipped = 0
-    for phrase in inventory.phrases:
+    for phrase in inventory:
         if all(w in words for w in phrase):
             kept.append(phrase)
         else:

@@ -3,11 +3,11 @@
 Stage graph (language stages run for both languages, direction stages per
 requested direction):
 
-    corpus -> inventory -> phrase embeddings -\\
-    corpus -> language model                   > tables -> tune -> translate
-                                                     -> align, with symmetrization and
-                                                        counts of one-to-one links
-                                                     -> dictionary -> evaluate
+    corpus -> phrase embeddings -\\
+    corpus -> language model      > tables -> tune -> translate
+                                        -> align, with symmetrization and
+                                           counts of one-to-one links
+                                        -> dictionary -> evaluate
 
 Every stage's inputs are content-addressed: the stage digest is a sha256
 over the stage name, its code version (`STAGE_VERSIONS`), its parameters,
@@ -21,7 +21,7 @@ killed run's writers left.
 
 Every stage is defined once, as a module-level function of the config, its
 in-memory inputs and its output paths (`tokenized` reads and tokenizes a
-raw corpus; `inventory_stage` through `evaluate_stage` do the rest), and the
+raw corpus; `phrases_stage` through `evaluate_stage` do the rest), and the
 matching CLI subcommand calls the same function. `run_pipeline` is one flat
 list of `run(name, inputs, outputs, fn)` calls: the runner passes `fn` the
 input and output paths, and a short lambda reads the inputs and hands them
@@ -38,6 +38,7 @@ import fcntl
 import hashlib
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -64,7 +65,7 @@ from .decoder import (
 )
 from .embeddings import EmbeddingStore, load_cache, load_embeddings, save_cache, unit_normalize
 from .evaluation import read_gold, precision_at_1
-from .fileio import atomic_write, parse_number, remove_stale_temps
+from .fileio import atomic_write, remove_stale_temps
 from .lexicon import (
     ExtractedCounts,
     InducedDictionary,
@@ -79,7 +80,6 @@ from .phrases import (
     DEFAULT_NGRAM_CAP,
     DEFAULT_REVERSE_SAMPLE,
     DEFAULT_VOCAB_SIZE,
-    PhraseInventory,
     PhraseTable,
     TableInduction,
     build_phrase_inventory,
@@ -98,7 +98,6 @@ MANIFEST_VERSION = 1
 # Downstream stages re-run only if the re-run changes their input bytes.
 STAGE_VERSIONS = {
     "corpus": 1,
-    "inventory": 1,
     "phrases": 1,
     "lm": 1,
     "tables": 1,
@@ -113,8 +112,7 @@ STAGE_VERSIONS = {
 _DECODER_PARAMS = ("beam", "distortion_limit", "options_limit")
 STAGE_PARAMS: dict[str, tuple[str, ...]] = {
     "corpus": ("lowercase", "aggressive_hyphens"),
-    "inventory": ("vocab_size", "ngram_cap"),
-    "phrases": (),
+    "phrases": ("vocab_size", "ngram_cap"),
     "lm": ("lm_order", "lm_discount"),
     "tables": ("candidates", "reverse_sample", "phrase_seed"),
     "tune": _DECODER_PARAMS + ("dev_size", "dev_seed", "sweeps", "golden_iterations"),
@@ -184,9 +182,10 @@ class PipelineConfig:
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("sweeps", "align_tension"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.sweeps < 0:
+            raise ValueError(f"sweeps must be >= 0, got {self.sweeps}")
+        if not (math.isfinite(self.align_tension) and self.align_tension >= 0):
+            raise ValueError(f"align_tension must be a finite number >= 0, got {self.align_tension}")
         if self.options_limit < 0:
             raise ValueError(f"options_limit must be >= 0 (0 = unlimited), got {self.options_limit}")
         if self.distortion_limit < -1:
@@ -437,19 +436,6 @@ def _read_tokenized(path: Path) -> Corpus:
     return Corpus(sentences, str(path))
 
 
-def _read_inventory(path: Path) -> PhraseInventory:
-    phrases: dict[tuple[str, ...], int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            key, sep, count = line.rstrip("\n").partition("\t")
-            if not sep:
-                raise ValueError(f"{path}: line {lineno}: expected phrase<TAB>count")
-            phrases[tuple(key.split(" "))] = parse_number(int, count, path, lineno)
-    return PhraseInventory(phrases)
-
-
 def _system(
     config: PipelineConfig, table: str | Path, lm: str | Path, weights: FeatureWeights
 ) -> TranslationSystem:
@@ -468,25 +454,16 @@ def tokenized(config: PipelineConfig, path: str | Path) -> Corpus:
     return load_corpus(path, config.aggressive_hyphens, config.lowercase)
 
 
-def inventory_stage(
-    config: PipelineConfig, corpus: Corpus, out: str | Path | None = None
-) -> PhraseInventory:
-    """Count the n-grams of `corpus` and keep its phrase inventory; with
-    `out`, write it as sorted "phrase<TAB>count" lines."""
-    counts = count_ngrams(corpus, 3)
-    inventory = build_phrase_inventory(counts, config.vocab_size, config.ngram_cap)
-    if out:
-        with atomic_write(out) as fh:
-            for phrase in sorted(inventory.phrases):
-                fh.write(" ".join(phrase) + "\t" + str(inventory.phrases[phrase]) + "\n")
-    return inventory
-
-
 def phrases_stage(
-    inventory: PhraseInventory, embeddings: str | Path, out: str | Path | None = None
+    config: PipelineConfig, corpus: Corpus, embeddings: str | Path, out: str | Path | None = None
 ) -> EmbeddingStore:
-    """Embed every phrase of `inventory` from the word embeddings file;
-    with `out`, write the phrase store as a cache."""
+    """Count the n-grams of `corpus`, keep its phrase inventory and embed
+    every phrase of it from the word embeddings file; with `out`, write the
+    phrase store as a cache."""
+    inventory = build_phrase_inventory(count_ngrams(corpus, 3), config.vocab_size, config.ngram_cap)
+    # Free the corpus before the embeddings load (the counts are gone
+    # already), so the stage never holds both.
+    del corpus
     store = build_phrase_store(inventory, unit_normalize(load_embeddings(embeddings)))
     if out:
         save_cache(store, out)
@@ -638,13 +615,11 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             ("tgt", config.tgt_corpus, config.tgt_embeddings),
         ):
             ldir = work_dir / lang
-            tok, inv = ldir / "corpus.txt", ldir / "inventory.txt"
+            tok = ldir / "corpus.txt"
             run(f"corpus:{lang}", [Path(raw_corpus)], [tok],
                 lambda raw, out: write_corpus(tokenized(config, raw), out))
-            run(f"inventory:{lang}", [tok], [inv],
-                lambda corpus, out: inventory_stage(config, _read_tokenized(corpus), out))
-            run(f"phrases:{lang}", [inv, Path(raw_embeddings)], [ldir / "phrases.npz"],
-                lambda inventory, emb, out: phrases_stage(_read_inventory(inventory), emb, out))
+            run(f"phrases:{lang}", [tok, Path(raw_embeddings)], [ldir / "phrases.npz"],
+                lambda corpus, emb, out: phrases_stage(config, _read_tokenized(corpus), emb, out))
             run(f"lm:{lang}", [tok], [ldir / "lm.txt"],
                 lambda corpus, out: lm_stage(config, _read_tokenized(corpus), out))
 

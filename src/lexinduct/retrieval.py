@@ -31,6 +31,7 @@ back-off to them downstream.
 from __future__ import annotations
 
 import logging
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -53,8 +54,10 @@ class RetrievalConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown retrieval method {self.method!r}")
-        if self.softmax_temperature <= 0:
-            raise ValueError("softmax temperature must be positive")
+        if not (math.isfinite(self.softmax_temperature) and self.softmax_temperature > 0):
+            raise ValueError(
+                f"softmax_temperature must be a finite number > 0, got {self.softmax_temperature}"
+            )
         if self.csls_k < 1:
             raise ValueError("csls_k must be >= 1")
 

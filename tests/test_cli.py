@@ -119,6 +119,19 @@ class TestInduce:
         assert capsys.readouterr().err.startswith("error: top must be >= 1")
         assert not out.exists()
 
+    def test_nan_temperature_exits_1(self, hub_files, capsys):
+        out = hub_files / "o.tsv"
+        code = run_cli(["induce", "--method", "inv-softmax",
+                        "--src-emb", str(hub_files / "src.vec"),
+                        "--tgt-emb", str(hub_files / "tgt.vec"),
+                        "--queries", str(hub_files / "queries.txt"),
+                        "--out", str(out), "--temperature", "nan"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: softmax_temperature must be a finite number > 0, got nan\n"
+        )
+        assert not out.exists()
+
     def test_missing_embedding_file_exits_1(self, hub_files, capsys):
         code = run_cli(["induce", "--method", "nn",
                         "--src-emb", str(hub_files / "absent.vec"),
@@ -187,6 +200,14 @@ class TestEvaluate:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_space_in_word_exits_1(self, tmp_path, capsys):
+        pred = tmp_path / "pred.tsv"
+        pred.write_text(" \tx\t0.75\na b\ty\t0.5\n", encoding="utf-8")
+        (tmp_path / "gold.txt").write_text("a x\n", encoding="utf-8")
+        code = run_cli(["evaluate", "--pred", str(pred), "--gold", str(tmp_path / "gold.txt")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {pred}: line 1: space in source")
+
 
 class TestDictionary:
     def test_empty_source_in_counts_exits_1(self, tmp_path, capsys):
@@ -236,6 +257,15 @@ class TestAlign:
                         "--out", str(tmp_path / "s.txt")])
         assert code == 1
         assert "lines" in capsys.readouterr().err
+
+    def test_infinite_tension_exits_1(self, tmp_path, capsys):
+        src, tgt = self.copy_corpus(tmp_path)
+        links, counts = tmp_path / "s.txt", tmp_path / "c.txt"
+        code = run_cli(["align", "--src", str(src), "--tgt", str(tgt),
+                        "--out", str(links), "--counts", str(counts), "--tension", "inf"])
+        assert code == 1
+        assert "align_tension must be a finite number >= 0, got inf" in capsys.readouterr().err
+        assert not links.exists() and not counts.exists()
 
 
 class TestStageChain:
@@ -463,7 +493,7 @@ class TestConfigChecks:
         "flag, name, value", [("--tension", "align_tension", -2.0)]
     )
     def test_aligner_settings_must_not_be_negative(self, tmp_path, capsys, flag, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+        with pytest.raises(ValueError, match=f"{name} must be a finite number >= 0"):
             PipelineConfig(**{name: value})
         PipelineConfig(**{name: type(value)(0)})
         src = tmp_path / "src.txt"
@@ -472,7 +502,7 @@ class TestConfigChecks:
         code = run_cli(["align", "--src", str(src), "--tgt", str(src), "--out", str(links),
                         flag, str(value)])
         assert code == 1
-        assert f"{name} must be >= 0, got {value}" in capsys.readouterr().err
+        assert f"{name} must be a finite number >= 0, got {value}" in capsys.readouterr().err
         assert not links.exists()
 
 

@@ -14,7 +14,6 @@ from lexinduct import (
     tokenize,
     write_corpus,
 )
-from lexinduct.corpus import NGramCounts
 
 
 class TestTokenize:
@@ -77,22 +76,19 @@ class TestCorpus:
 class TestCountNgrams:
     def test_hand_counts(self):
         counts = count_ngrams([["a", "b", "a"]], 2)
-        assert counts[1].counts == {("a",): 2, ("b",): 1}
-        assert counts[2].counts == {("a", "b"): 1, ("b", "a"): 1}
+        assert counts == {1: {("a",): 2, ("b",): 1}, 2: {("a", "b"): 1, ("b", "a"): 1}}
 
     def test_no_cross_sentence_windows(self):
         counts = count_ngrams([["a"], ["b"]], 2)
-        assert counts[2].counts == {}
+        assert counts[2] == {}
 
     def test_short_sentences_skip_high_orders(self):
         counts = count_ngrams([["a", "b"]], 3)
-        assert counts[3].counts == {}
+        assert counts[3] == {}
 
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             count_ngrams([["a"]], 0)
-        with pytest.raises(ValueError):
-            NGramCounts(0)
 
 
 class TestVocabulary:
@@ -105,11 +101,9 @@ class TestVocabulary:
         assert build_vocabulary(counts[1], 2) == ["a", "b"]
 
     def test_errors(self):
-        counts = count_ngrams([["a", "b"]], 2)
+        counts = count_ngrams([["a", "b"]], 1)
         with pytest.raises(ValueError):
             build_vocabulary(counts[1], 0)
-        with pytest.raises(ValueError):
-            build_vocabulary(counts[2], 5)
 
 
 class TestSampleSentences:

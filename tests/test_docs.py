@@ -3,6 +3,7 @@
 from pathlib import Path
 
 from lexinduct import InducedDictionary, PipelineConfig, read_config, write_config
+from lexinduct.pipeline import STAGE_VERSIONS
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -25,6 +26,14 @@ def test_config_reference_lists_the_defaults(tmp_path):
     default = (tmp_path / "default.cfg").read_text(encoding="utf-8")
     documented = [line.rstrip() for line in reference.splitlines() if line.strip() and line[0] != ";"]
     assert documented == [line.rstrip() for line in default.splitlines() if line.strip()]
+
+
+def test_stage_table_lists_the_stage_kinds():
+    rest = README[README.index("\n## Pipeline stages and artifacts") :]
+    table = rest[rest.index("\n| stage |") :].split("\n\n", 1)[0]
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    kinds = [row.split("`")[1].partition(":")[0] for row in rows]
+    assert kinds == list(STAGE_VERSIONS)
 
 
 def test_link_file_recipe(tmp_path, monkeypatch):

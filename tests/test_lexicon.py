@@ -316,6 +316,17 @@ class TestInducedDictionary:
             with pytest.raises(ValueError, match=re.escape(f"{path}: line {lineno}: empty source")):
                 InducedDictionary.read(path)
 
+    def test_read_rejects_words_with_spaces(self, tmp_path):
+        path = tmp_path / "dict.tsv"
+        for body in (" \tx\t0.75\na b\ty\t0.5\n", "a\tx\t0.5\nb\ty z\t0.5\n"):
+            path.write_text(body, encoding="utf-8")
+            lineno = 1 if body[0] == " " else 2
+            with pytest.raises(ValueError, match=re.escape(f"{path}: line {lineno}: space in source")):
+                InducedDictionary.read(path)
+        # Tokens are split on spaces only, so other whitespace is part of a word.
+        path.write_text("a\u00a0b\tx\t0.5\n", encoding="utf-8")
+        assert InducedDictionary.read(path).entries == {"a\u00a0b": (("x", 0.5),)}
+
     def test_non_numeric_score_names_file_and_line(self, tmp_path):
         path = tmp_path / "dict.tsv"
         path.write_text("a\tx\t0.5\nb\ty\thigh\n", encoding="utf-8")

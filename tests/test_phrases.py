@@ -8,7 +8,6 @@ import pytest
 
 from lexinduct import (
     EmbeddingStore,
-    PhraseInventory,
     PhraseTable,
     PhraseTableEntry,
     ScoredCandidates,
@@ -46,17 +45,17 @@ class TestInventory:
         sents = [["a", "b", "a", "b"], ["a", "b", "c"]]
         counts = count_ngrams(sents, 3)
         inv = build_phrase_inventory(counts, vocab_size=10, ngram_cap=1)
-        assert ("a",) in inv.phrases and ("c",) in inv.phrases
-        bigrams = [p for p in inv.phrases if len(p) == 2]
-        trigrams = [p for p in inv.phrases if len(p) == 3]
+        assert ("a",) in inv and ("c",) in inv
+        bigrams = [p for p in inv if len(p) == 2]
+        trigrams = [p for p in inv if len(p) == 3]
         assert bigrams == [("a", "b")]
         assert trigrams == [("a", "b", "a")]
-        assert inv.phrases[("a", "b")] == 3
+        assert inv[("a", "b")] == 3
 
     def test_ngram_tie_breaks_ascending(self):
         counts = count_ngrams([["b", "z"], ["a", "z"]], 3)
         inv = build_phrase_inventory(counts, vocab_size=10, ngram_cap=1)
-        assert [p for p in inv.phrases if len(p) == 2] == [("a", "z")]
+        assert [p for p in inv if len(p) == 2] == [("a", "z")]
 
     def test_missing_order_fatal(self):
         counts = count_ngrams([["a", "b"]], 2)
@@ -66,7 +65,7 @@ class TestInventory:
     def test_vocab_truncation_applies(self):
         counts = count_ngrams([["a", "a", "b", "c"]], 3)
         inv = build_phrase_inventory(counts, vocab_size=2, ngram_cap=0)
-        assert set(inv.phrases) == {("a",), ("b",)}
+        assert set(inv) == {("a",), ("b",)}
 
 
 class TestPhraseEmbedding:
@@ -93,15 +92,15 @@ class TestPhraseEmbedding:
 class TestPhraseStore:
     def test_matches_per_phrase_embedding(self):
         words = unit_store(6, 5, 34)
-        inv = PhraseInventory({
+        inv = {
             ("w000",): 4,
             ("w001",): 3,
             ("w002", "w001"): 2,
             ("w000", "w003", "w005"): 1,
-        })
+        }
         store = build_phrase_store(inv, words)
-        assert store.vocab == tuple(sorted(" ".join(p) for p in inv.phrases))
-        for phrase in inv.phrases:
+        assert store.vocab == tuple(sorted(" ".join(p) for p in inv))
+        for phrase in inv:
             np.testing.assert_allclose(
                 store.vectors[store.indices([" ".join(phrase)])[0]],
                 phrase_embedding(phrase, words),
@@ -110,14 +109,14 @@ class TestPhraseStore:
 
     def test_oov_phrases_dropped(self):
         words = unit_store(3, 4, 35)
-        inv = PhraseInventory({("w000",): 2, ("w000", "zzz"): 1})
+        inv = {("w000",): 2, ("w000", "zzz"): 1}
         store = build_phrase_store(inv, words)
         assert store.vocab == ("w000",)
 
     def test_nothing_covered_fatal(self):
         words = unit_store(2, 4, 36)
         with pytest.raises(ValueError):
-            build_phrase_store(PhraseInventory({("zzz",): 1}), words)
+            build_phrase_store({("zzz",): 1}, words)
 
 
 class TestSoftmaxScores:
@@ -482,7 +481,7 @@ def random_phrase_store(rng, n_words, dim, prefix):
     for length, count in ((2, 2 * n_words), (3, n_words)):
         for _ in range(count):
             phrases[tuple(rng.choice(words.vocab, size=length))] = 1
-    return build_phrase_store(PhraseInventory(phrases), words)
+    return build_phrase_store(phrases, words)
 
 
 class TestColumnarInduction:

@@ -115,6 +115,8 @@ class TestConfigValidation:
             {"distortion_limit": -2},
             {"lm_discount": 1.0},
             {"align_null_prob": 0.0},
+            {"align_tension": float("inf")},
+            {"align_tension": float("nan")},
         ],
     )
     def test_rejected(self, kw):
@@ -148,7 +150,8 @@ class TestStageDigests:
         assert self.FIELDS - self.UNHASHED - self.HASHED == set()
 
 
-LANG_STAGES = [f"{s}:{l}" for l in ("src", "tgt") for s in ("corpus", "inventory", "phrases", "lm")]
+LANG_STAGES = [f"{s}:{l}" for l in ("src", "tgt") for s in ("corpus", "phrases", "lm")]
+DIRECTION_STAGES = [f"{s}:src2tgt" for s in ("tune", "translate", "align", "dictionary", "evaluate")]
 
 
 class TestRunAndCache:
@@ -159,7 +162,8 @@ class TestRunAndCache:
         assert r.dictionary_path.exists() and r.report_path.exists()
         assert r.p_at_1 is not None and r.p_at_1 >= 0.9
         assert r.oov_rate == 0.0
-        assert len(result.ran()) == 14 and result.cached() == []
+        assert result.ran() == LANG_STAGES + ["tables"] + DIRECTION_STAGES
+        assert result.cached() == []
         for word, translation in list(fx.mapping.items())[:5]:
             assert r.dictionary.top1(word) == translation
 
@@ -169,7 +173,7 @@ class TestRunAndCache:
         run_pipeline(config)
         again = run_pipeline(config)
         assert again.ran() == []
-        assert len(again.cached()) == 14
+        assert len(again.cached()) == 12
         assert again.directions["src2tgt"].p_at_1 is not None
 
     def test_copied_work_dir_stays_cached(self, tmp_path):
@@ -178,7 +182,7 @@ class TestRunAndCache:
         shutil.copytree(tmp_path / "work", tmp_path / "copy")
         again = run_pipeline(micro_config(fx, tmp_path / "copy"))
         assert again.ran() == []
-        assert len(again.cached()) == 14
+        assert len(again.cached()) == 12
 
     def test_mtime_change_alone_stays_cached(self, tmp_path):
         fx = micro(tmp_path / "data")
@@ -196,9 +200,24 @@ class TestRunAndCache:
             fh.write("t000 t001 t002 t003 t004 t005\n")
         result = run_pipeline(config)
         ran = set(result.ran())
-        assert {"corpus:tgt", "inventory:tgt", "phrases:tgt", "lm:tgt", "tables"} <= ran
+        assert {"corpus:tgt", "phrases:tgt", "lm:tgt", "tables"} <= ran
         cached = set(result.cached())
-        assert {"corpus:src", "inventory:src", "phrases:src", "lm:src"} <= cached
+        assert {"corpus:src", "phrases:src", "lm:src"} <= cached
+
+    def test_embeddings_change_invalidates_its_phrases_and_downstream(self, tmp_path):
+        fx = micro(tmp_path / "data")
+        config = micro_config(fx, tmp_path / "work")
+        run_pipeline(config)
+        # Two target words swap vectors, and so their translations: the
+        # corpora, their LMs and the source phrases stay cached, while the
+        # target phrase inventory is counted afresh with its embeddings.
+        header, *rows = Path(fx.tgt_embeddings).read_text(encoding="utf-8").splitlines(keepends=True)
+        (a, vector_a), (b, vector_b) = (row.split(" ", 1) for row in rows[:2])
+        rows[:2] = [f"{a} {vector_b}", f"{b} {vector_a}"]
+        Path(fx.tgt_embeddings).write_text(header + "".join(rows), encoding="utf-8")
+        result = run_pipeline(config)
+        assert result.ran() == ["phrases:tgt", "tables"] + DIRECTION_STAGES
+        assert set(result.cached()) == {"corpus:src", "corpus:tgt", "lm:src", "lm:tgt", "phrases:src"}
 
     def test_param_change_invalidates_dependent_stages_only(self, tmp_path):
         fx = micro(tmp_path / "data")
@@ -207,8 +226,7 @@ class TestRunAndCache:
         ran = set(result.ran())
         assert {"lm:src", "lm:tgt", "tune:src2tgt", "translate:src2tgt"} <= ran
         cached = set(result.cached())
-        assert {"corpus:src", "corpus:tgt", "inventory:src", "inventory:tgt",
-                "phrases:src", "phrases:tgt", "tables"} <= cached
+        assert {"corpus:src", "corpus:tgt", "phrases:src", "phrases:tgt", "tables"} <= cached
 
     def test_stage_version_bump_reruns_that_stage_only(self, tmp_path, monkeypatch):
         fx = micro(tmp_path / "data")
@@ -221,7 +239,7 @@ class TestRunAndCache:
             monkeypatch.setitem(STAGE_VERSIONS, kind, STAGE_VERSIONS[kind] + 1)
             result = run_pipeline(config)
             assert result.ran() == [stage]
-            assert len(result.cached()) == 13
+            assert len(result.cached()) == 11
         assert run_pipeline(config).ran() == []
 
     def test_damaged_output_is_rebuilt(self, tmp_path):

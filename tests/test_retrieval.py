@@ -449,5 +449,9 @@ class TestEdgeCases:
             RetrievalConfig(method="bogus")
         with pytest.raises(ValueError):
             RetrievalConfig(softmax_temperature=0.0)
+        for value in (float("nan"), float("inf")):
+            message = f"softmax_temperature must be a finite number > 0, got {value}"
+            with pytest.raises(ValueError, match=message):
+                RetrievalConfig(softmax_temperature=value)
         with pytest.raises(ValueError):
             RetrievalConfig(csls_k=0)
